@@ -4,9 +4,10 @@ Engineering benchmark (no paper figure): times the Q1.3 per-component
 resilience sweep of ``opt-mini`` under three engine configurations and
 reports the end-to-end speedup the batched engine delivers:
 
-- ``seed-equivalent``: per-sequence evaluation loop with the all-integer
-  GEMM route (the ``numpy-int`` backend) — a *conservative* stand-in for
-  the pre-batching engine, which additionally looped per attention head;
+- ``seed-equivalent``: per-sequence evaluation loop with the seed
+  engine's all-integer GEMM (NumPy int64 matmul, via a benchmark-local
+  backend) — a *conservative* stand-in for the pre-batching engine, which
+  additionally looped per attention head;
 - ``single-sequence``: per-sequence evaluation on the fast engine
   (head-batched GEMMs + BLAS int8 pipeline);
 - ``batched``: the default batched path (whole task per forward,
@@ -30,9 +31,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import bundle, table
 
+import numpy as np
+
 from repro.characterization.evaluator import ModelEvaluator, TaskSizing
 from repro.characterization.questions import DEFAULT_BERS, q13_components
-from repro.dispatch.backends import get_backend
+from repro.dispatch.backends import GemmBackend
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -44,6 +47,16 @@ ROUNDS = 1 if SMOKE else 3
 MIN_SPEEDUP = 3.0
 
 
+class _Int64Backend(GemmBackend):
+    """The seed engine's GEMM: NumPy int64 matmul on every call, no BLAS.
+    Exact like every backend, so it only changes the wall clock."""
+
+    name = "bench-int64"
+
+    def product_int64(self, a_q, b_q, b_f64=None):
+        return a_q.astype(np.int64) @ b_q.astype(np.int64)
+
+
 def _evaluators():
     # replay=False throughout: this benchmark isolates the batching axis,
     # so no configuration may ride the clean-trace replay engine (that
@@ -52,7 +65,7 @@ def _evaluators():
     seed_like = ModelEvaluator(
         b, "perplexity", sizing=SIZING, batched=False, reuse_model=False, replay=False
     )
-    seed_like.model.executor.backend = get_backend("numpy-int")
+    seed_like.model.executor.backend = _Int64Backend()
     single = ModelEvaluator(b, "perplexity", sizing=SIZING, batched=False, replay=False)
     batched = ModelEvaluator(b, "perplexity", sizing=SIZING, batched=True, replay=False)
     return {"seed-equivalent": seed_like, "single-sequence": single, "batched": batched}

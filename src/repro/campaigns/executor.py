@@ -106,10 +106,7 @@ def evaluate_trial(
     cost_instrument = cost.build() if cost is not None else None
     protector = build_protector(trial, evaluator, pipeline)
 
-    # Non-exact trials pin their backend in trial identity; a campaign-level
-    # exact selection rides the payload instead (never part of the key).
-    requested = backend if backend is not None else trial.backend
-    with use_backend(evaluator.model.executor, requested) as active:
+    with use_backend(evaluator.model.executor, backend) as active:
         with telemetry.span("trial.evaluate", cell=trial.cell_label, seed=trial.seed):
             score = evaluator.run(injector, protector, cost=cost_instrument)
         if trial.method not in (NO_METHOD,) and METHODS[trial.method].exact_correction:
@@ -177,12 +174,11 @@ def _run_trial_payload(payload: dict) -> dict:
     The optional ``"cost"`` key carries the campaign-level
     :class:`~repro.dispatch.cost.CostSpec`; it is popped before the trial
     is parsed so it never leaks into trial identity or stored records.
-    The optional ``"gemm_backend"`` key carries the campaign-level exact
-    backend selection (``CampaignSpec.backend``) the same way — a
-    measurement setting, never part of the trial key. (A non-exact
-    backend instead rides the trial's own ``"backend"`` field, which *is*
-    identity.) ``"attempt"`` is the supervisor's retry counter for this
-    trial, consumed by the chaos harness; ``"chaos"`` activates a
+    The optional ``"gemm_backend"`` key carries the campaign-level
+    backend selection (``CampaignSpec.backend``) the same way — an
+    execution setting, never part of the trial key. ``"attempt"`` is the
+    supervisor's retry counter for this trial, consumed by the chaos
+    harness; ``"chaos"`` activates a
     :class:`~repro.campaigns.chaos.ChaosSpec` in this process.
     """
     cost_payload = payload.pop("cost", None)

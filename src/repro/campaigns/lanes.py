@@ -161,9 +161,7 @@ def pack_signature(trial: Trial, config) -> tuple:
         )
         for stage in (Stage.PREFILL, Stage.DECODE)
     )
-    # trial.backend is None for exact backends; a non-exact backend pins the
-    # whole pack's kernel, so trials carrying different ones never co-pack.
-    return (trial.model, trial.task, trial.method, trial.backend, resume)
+    return (trial.model, trial.task, trial.method, resume)
 
 
 class LanePacker:
@@ -223,10 +221,8 @@ def prepare_lanes(
     """
     if not trials:
         raise ValueError("a lane pack needs at least one trial")
-    if len({(t.model, t.task, t.method, t.backend) for t in trials}) > 1:
-        raise ValueError(
-            "a lane pack must share one (model, task, method, backend)"
-        )
+    if len({(t.model, t.task, t.method) for t in trials}) > 1:
+        raise ValueError("a lane pack must share one (model, task, method)")
     injectors = [build_injector(t) for t in trials]
     protectors = [build_protector(t, evaluator, pipeline) for t in trials]
     costs = [cost.build() if cost is not None else None for _ in trials]
@@ -253,9 +249,8 @@ def evaluate_lane_pack(
     ``repro.campaigns.executor.evaluate_trial`` on the same trial;
     ``elapsed_s`` attributes the pack's wall clock evenly across lanes
     (telemetry, not part of the bit-exactness contract). ``backend``
-    selects the GEMM backend for the whole pack (uniform by the packing
-    rules above); when ``None`` the pack honors the trials' own pinned
-    backend, falling back to the executor's current one.
+    selects the GEMM backend for the whole pack; ``None`` keeps the
+    executor's current one.
 
     ``attempts`` carries the supervisor's per-trial retry counters into
     the chaos harness's per-trial fault point — a lane whose trial is
@@ -273,8 +268,7 @@ def evaluate_lane_pack(
         trials, evaluator, pipeline, cost
     )
     pack_injector, pack_protector, pack_cost = packed
-    requested = backend if backend is not None else trials[0].backend
-    with use_backend(evaluator.model.executor, requested) as active:
+    with use_backend(evaluator.model.executor, backend) as active:
         with telemetry.span(
             "pack.evaluate", lanes=len(trials), cell=trials[0].cell_label
         ):

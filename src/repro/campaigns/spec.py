@@ -240,14 +240,7 @@ class ErrorSpec:
 
 @dataclass(frozen=True)
 class Trial:
-    """One fully-specified cell-and-seed of the campaign grid.
-
-    ``backend`` is ``None`` for every exact GEMM backend — exact backends
-    are bit-interchangeable, so naming one must not change the trial's
-    content key (the stored result is valid whichever exact kernel ran).
-    A *non-exact* backend changes the measurement, so ``expand()`` stamps
-    its name here and it becomes part of the key/cell identity.
-    """
+    """One fully-specified cell-and-seed of the campaign grid."""
 
     model: str
     task: str
@@ -256,7 +249,6 @@ class Trial:
     method: str = NO_METHOD
     voltage: Optional[float] = None
     seed: int = 0
-    backend: Optional[str] = None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -269,8 +261,6 @@ class Trial:
         }
         if self.voltage is not None:
             out["voltage"] = self.voltage
-        if self.backend is not None:
-            out["backend"] = self.backend
         return out
 
     @classmethod
@@ -283,7 +273,6 @@ class Trial:
             method=payload.get("method", NO_METHOD),
             voltage=payload.get("voltage"),
             seed=payload.get("seed", 0),
-            backend=payload.get("backend"),
         )
 
     @property
@@ -310,8 +299,6 @@ class Trial:
             parts.append(self.method)
         if self.voltage is not None:
             parts.append(f"{self.voltage:.2f}V")
-        if self.backend is not None:
-            parts.append(self.backend)
         return "/".join(parts)
 
 
@@ -328,11 +315,9 @@ class CampaignSpec:
 
     ``backend`` names the GEMM backend every trial runs on (DESIGN.md
     section 11; default: the workers' own resolution, i.e.
-    ``$REPRO_GEMM_BACKEND`` or ``numpy-f64``). Like ``cost`` it is a
-    measurement setting for *exact* backends — bit-identical results, so
-    trial keys are unchanged and stored results stay valid. Naming a
-    non-exact backend changes the numbers, so ``expand()`` stamps it into
-    every trial's content key.
+    ``$REPRO_GEMM_BACKEND`` or ``numpy-f64``). Like ``cost`` it is an
+    execution setting: every registered backend is exact, so trial keys
+    are unchanged and stored results stay valid whichever one ran.
 
     ``supervise`` (a :class:`~repro.campaigns.supervise.SuperviseConfig`,
     or a ``"supervise"`` object in JSON) tunes the supervision layer —
@@ -407,14 +392,6 @@ class CampaignSpec:
         Repeated axis values (e.g. a duplicated seed in a hand-written JSON
         spec) are dropped: every returned trial has a unique key.
         """
-        # Only a non-exact backend is part of trial identity (see the class
-        # docstring); exact backends leave keys untouched by design.
-        trial_backend: Optional[str] = None
-        if self.backend is not None:
-            from repro.dispatch.backends import get_backend
-
-            if not get_backend(self.backend).exact:
-                trial_backend = self.backend
         seen: set[str] = set()
         trials: list[Trial] = []
         for model in self.models:
@@ -432,7 +409,6 @@ class CampaignSpec:
                                         method=method,
                                         voltage=voltage,
                                         seed=seed,
-                                        backend=trial_backend,
                                     )
                                     if trial.key not in seen:
                                         seen.add(trial.key)

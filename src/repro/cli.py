@@ -17,7 +17,7 @@ Examples
     python -m repro campaign report --spec grid.json --csv results.csv
     python -m repro campaign report --spec grid.json --costs
     python -m repro backend list                         # GEMM backends
-    python -m repro campaign run --spec grid.json --backend blocked
+    python -m repro campaign run --spec grid.json --backend native
     python -m repro campaign run --spec grid.json --workers 4 \\
         --trial-timeout 60 --max-retries 3               # supervision knobs
     python -m repro campaign run --spec grid.json --chaos "seed=1,kill=0.5"
@@ -31,6 +31,8 @@ Examples
 from __future__ import annotations
 
 import argparse
+import json
+import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -251,8 +253,41 @@ def cmd_overhead(args: argparse.Namespace) -> str:
 
 
 # ----------------------------------------------------------------- campaigns
-def _load_spec(args: argparse.Namespace) -> CampaignSpec:
-    return CampaignSpec.from_json(Path(args.spec).read_text())
+class CliError(Exception):
+    """Bad user input: :func:`main` prints it as one stderr line and
+    exits 2, instead of a traceback."""
+
+
+def _spec_problem(exc: Exception) -> str:
+    """One-line reason for a spec validation error."""
+    reason = str(exc.args[0]) if exc.args else type(exc).__name__
+    if isinstance(exc, KeyError) and " " not in reason:
+        return f"missing key {reason!r}"  # a required JSON key is absent
+    return reason
+
+
+def _load_spec(
+    args: argparse.Namespace, backend: Optional[str] = None
+) -> CampaignSpec:
+    """Read and validate ``--spec`` (with ``backend`` overriding its
+    GEMM backend); any problem raises :class:`CliError`."""
+    try:
+        text = Path(args.spec).read_text()
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CliError(f"cannot read spec {args.spec}: {reason}") from None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"spec {args.spec} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CliError(f"spec {args.spec} must be a JSON object")
+    if backend is not None:
+        payload["backend"] = backend
+    try:
+        return CampaignSpec.from_dict(payload)
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"invalid spec {args.spec}: {_spec_problem(exc)}") from None
 
 
 def _open_store(
@@ -282,7 +317,6 @@ def cmd_backend_list(args: argparse.Namespace) -> str:
         row = [
             backend.name,
             "yes" if available else f"no ({backend.why_unavailable()})",
-            "yes" if backend.exact else "NO",
             "yes" if backend.threaded else "no",
             backend.kernel() if available else "-",
         ]
@@ -299,39 +333,11 @@ def cmd_backend_list(args: argparse.Namespace) -> str:
             else:
                 row.append("-")
         rows.append(row)
-    header = ["backend", "available", "exact", "threaded", "kernel"]
+    header = ["backend", "available", "threaded", "kernel"]
     if not args.no_timing:
         shape_label = ", ".join("x".join(map(str, s)) for s in shapes)
         header.append(f"ms ({shape_label})")
-    out = format_table(header, rows, title="registered GEMM backends")
-    if getattr(args, "tune", False):
-        out += "\n\n" + _tune_auto_backend()
-    return out
-
-
-def _tune_auto_backend() -> str:
-    """Pre-tune ``auto`` on the harvested campaign GEMM mix and render
-    the resulting winner table (persisted for every later process)."""
-    from repro.dispatch.backends import get_backend
-    from repro.dispatch.backends.auto import harvest_workload
-
-    auto = get_backend("auto")
-    table = auto.tune(harvest_workload())
-    rows = []
-    for cls in sorted(table):
-        entry = table[cls]
-        timings = ", ".join(
-            f"{name}={us:.1f}us"
-            for name, us in sorted(
-                entry["timings_us"].items(), key=lambda kv: kv[1]
-            )
-        )
-        rows.append([cls, entry["winner"], timings])
-    return format_table(
-        ["shape class", "winner", "timings (best-of)"],
-        rows,
-        title=f"auto backend winner table ({auto.table_path})",
-    )
+    return format_table(header, rows, title="registered GEMM backends")
 
 
 def _time_once(backend, a, b) -> float:
@@ -349,10 +355,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> str:
 
     if args.trace:
         telemetry.enable()
-    spec = _load_spec(args)
-    if args.backend is not None:
-        # replace() re-runs __post_init__, validating the name up front.
-        spec = dataclasses.replace(spec, backend=args.backend)
+    spec = _load_spec(args, backend=args.backend)
     supervise = None
     if args.trial_timeout is not None or args.max_retries is not None:
         overrides = {}
@@ -406,8 +409,6 @@ def cmd_campaign_status(args: argparse.Namespace) -> str:
         out = status_table(spec, store)
         directory = store.directory
         if args.history:
-            import json
-
             history = store.progress_history()
             Path(args.history).write_text(json.dumps(history, indent=2))
             out += f"\nwrote {len(history)} progress snapshot(s) to {args.history}"
@@ -831,9 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("list", help="registered backends + availability")
     b.add_argument("--no-timing", action="store_true",
                    help="skip the per-backend micro-timings")
-    b.add_argument("--tune", action="store_true",
-                   help="pre-tune the 'auto' backend on the harvested "
-                        "campaign GEMM mix and print its winner table")
     b.set_defaults(func=cmd_backend_list)
 
     p = sub.add_parser("trace", help="span telemetry / Chrome-trace tooling")
@@ -856,7 +854,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    print(args.func(args))
+    try:
+        print(args.func(args))
+    except CliError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return getattr(args, "exit_code", 0)
 
 

@@ -1,26 +1,20 @@
 """Pluggable GEMM backends behind the dispatch pipeline (DESIGN.md §11, §13).
 
-Importing this package registers the five built-in backends:
+Importing this package registers the two built-in backends:
 
 - ``numpy-f64`` — the default float64-BLAS route (the exactness oracle),
-- ``numpy-int`` — the seed engine's all-integer materialization route,
-- ``blocked`` — multi-threaded cache-blocked int8 kernel (Numba when
-  importable, exact tiled-f32 NumPy fallback otherwise),
-- ``native`` — compiled C int8 kernel (``csrc/gemm_int8.c``) with
+- ``native`` — opt-in compiled C int8 kernel (``csrc/gemm_int8.c``) with
   prepacked weight panels; unavailable (and degraded past with a
-  WARNING) on hosts without a C compiler or prebuilt extension,
-- ``auto`` — per-shape-class autotuned dispatch over the available
-  exact backends, winner table persisted to disk.
+  WARNING) on hosts without a C compiler or prebuilt extension.
 
-Every registered backend is automatically run through the differential
-conformance suite in ``tests/test_backends.py``.
+Every registered backend is exact — bit-identical to ``numpy-f64`` on
+every input — and is automatically run through the differential
+conformance suite in ``tests/test_backends.py`` that enforces it.
 """
 
-from repro.dispatch.backends.auto import AutoBackend
 from repro.dispatch.backends.base import GemmBackend
-from repro.dispatch.backends.blocked import BlockedBackend
 from repro.dispatch.backends.native import NativeBackend
-from repro.dispatch.backends.numpy_ref import NumpyF64Backend, NumpyIntBackend
+from repro.dispatch.backends.numpy_ref import NumpyF64Backend
 from repro.dispatch.backends.prepack import PREPACK, PrepackCache
 from repro.dispatch.backends.registry import (
     DEFAULT_BACKEND,
@@ -36,18 +30,12 @@ from repro.dispatch.backends.registry import (
 )
 
 register_backend(NumpyF64Backend())
-register_backend(NumpyIntBackend())
-register_backend(BlockedBackend())
 register_backend(NativeBackend())
-register_backend(AutoBackend())
 
 __all__ = [
     "GemmBackend",
     "NumpyF64Backend",
-    "NumpyIntBackend",
-    "BlockedBackend",
     "NativeBackend",
-    "AutoBackend",
     "PREPACK",
     "PrepackCache",
     "DEFAULT_BACKEND",

@@ -1,10 +1,11 @@
 """The ``GemmBackend`` protocol (DESIGN.md section 11).
 
 A backend is a strategy object for the one hot primitive of the engine:
-the quantized integer GEMM. Every backend produces the *same bits* for
-the same call unless it explicitly declares ``exact = False``, in which
-case the replay layer quarantines its traces (separate cache keys,
-refused cross-backend resume) and campaign trial keys record its name.
+the quantized integer GEMM. Every registered backend is exact: it produces
+the *same bits* as the ``numpy-f64`` oracle for every call, which the
+differential conformance suite in ``tests/test_backends.py`` enforces.
+So no trial key, replay-trace key, or trace reuse depends on which
+backend ran; the name is recorded as provenance only.
 
 Subclasses implement :meth:`product_int64` — the mathematically exact
 ``a @ b`` in int64 — and inherit :meth:`matmul_int32`, which applies the
@@ -29,19 +30,11 @@ class GemmBackend:
     Class attributes (capability flags, fixed per backend):
 
     - ``name``: registry key, also recorded in trial/trace provenance.
-    - ``exact``: bit-identical to the ``numpy-f64`` oracle on every
-      input. Non-exact backends are quarantined from replay-trace reuse
-      and stamped into campaign trial keys.
     - ``threaded``: uses more than one thread for a single GEMM.
-    - ``bypass``: supports the executor's materialization bypass — an
-      exact float64 product via :meth:`matmul_f64` for overflow-free
-      int8 calls, skipping the integer round trip.
     """
 
     name: str = "?"
-    exact: bool = True
     threaded: bool = False
-    bypass: bool = True
 
     # -------------------------------------------------------------- probing
     def available(self) -> bool:

@@ -1,4 +1,8 @@
-"""``native``: compiled C int8 GEMM backend (DESIGN.md section 13).
+"""``native``: opt-in compiled C int8 GEMM backend (DESIGN.md section 13).
+
+Select it explicitly (``--backend native``, ``"backend": "native"`` in a
+campaign spec, or ``$REPRO_GEMM_BACKEND=native``); the default stays
+``numpy-f64``, which is faster at the model zoo's GEMM shapes.
 
 The kernel lives in ``csrc/gemm_int8.c`` — cache-blocked int8 x int8 ->
 int64 with a packed-B panel layout — and reaches the process two ways:
@@ -15,22 +19,22 @@ int64 with a packed-B panel layout — and reaches the process two ways:
 Hosts without a compiler (and builds where anything above fails) leave
 the backend *unavailable* — ``available()`` is False,
 ``why_unavailable()`` says why, and the registry's resolution degrades
-to the exact default with a WARNING (the PR 7 never-fails-open rule).
-Nothing ever computes a wrong answer.
+to the exact default with a WARNING. Nothing ever computes a wrong
+answer.
 
 Execution: weight panels are packed once per buffer through the shared
 :mod:`~repro.dispatch.backends.prepack` cache; activation-side operands
 pack into scratch per call. ctypes releases the GIL for the kernel's
 duration, so on multi-core hosts the row dimension is partitioned across
-a thread pool exactly like ``BlockedBackend._sgemm``.
+a thread pool.
 
-The backend is ``exact = True``: the C kernel accumulates int8 products
-in int32 blocks of <= 2^15 terms (bounded by 2^15 * 2^14 = 2^29 < 2^31)
-widened into int64 — bit-identical to the numpy-f64 oracle on every
-input, held to it by the conformance suite in ``tests/test_backends.py``.
-On AVX512-VNNI hosts the same source compiles to a ``vpdpbusd`` micro-
-kernel (signed operands biased to unsigned, corrected exactly via
-pack-time column sums) — still bit-identical, just ~5x the throughput.
+The C kernel accumulates int8 products in int32 blocks of <= 2^15 terms
+(bounded by 2^15 * 2^14 = 2^29 < 2^31) widened into int64 — bit-identical
+to the numpy-f64 oracle on every input, held to it by the conformance
+suite in ``tests/test_backends.py``. On AVX512-VNNI hosts the same source
+compiles to a ``vpdpbusd`` micro-kernel (signed operands biased to
+unsigned, corrected exactly via pack-time column sums) — still
+bit-identical.
 """
 
 from __future__ import annotations
@@ -204,8 +208,6 @@ class NativeBackend(GemmBackend):
     """Compiled C int8 kernel with prepacked weight panels."""
 
     name = "native"
-    exact = True
-    bypass = True
 
     def __init__(self) -> None:
         self._kernel: Optional[_Kernel] = None
@@ -213,6 +215,7 @@ class NativeBackend(GemmBackend):
         self._error: Optional[str] = None
         self._n_threads = max(1, os.cpu_count() or 1)
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_pid = 0
 
     # -------------------------------------------------------------- loading
     def _load(self) -> Optional[_Kernel]:
@@ -288,17 +291,21 @@ class NativeBackend(GemmBackend):
         return f"c-int8{isa}[{kernel.origin}] x{self._n_threads}"
 
     def close(self) -> None:
-        if self._pool is not None:
+        if self._pool is not None and self._pool_pid == os.getpid():
             self._pool.shutdown(wait=True)
-            self._pool = None
+        self._pool = None
 
     # -------------------------------------------------------------- compute
     def _thread_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
+        # A forked campaign worker inherits the pool object but none of its
+        # threads, so work submitted to it would wait forever: each process
+        # builds its own pool.
+        if self._pool is None or self._pool_pid != os.getpid():
             self._pool = ThreadPoolExecutor(
                 max_workers=self._n_threads,
                 thread_name_prefix="repro-native-gemm",
             )
+            self._pool_pid = os.getpid()
         return self._pool
 
     def _packed_b(self, kernel: _Kernel, b_q: np.ndarray, cached: bool) -> np.ndarray:

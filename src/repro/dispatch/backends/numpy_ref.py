@@ -1,12 +1,9 @@
-"""The two NumPy reference backends (the seed engine's routes).
+"""The NumPy reference backend: ``numpy-f64``, the exactness oracle.
 
-``numpy-f64`` is the oracle every other backend is differentially tested
-against: int8 operands ride float64 BLAS (bit-exact — every partial sum
-is bounded by ``k * 127^2``, far below 2^53), wider integer dtypes take
-NumPy's int64 matmul. ``numpy-int`` is the seed engine's all-integer
-route, previously selected by ``executor.fast_gemm = False``: always
-materialize through int64 matmul, never bypass — kept as a benchmark
-baseline and paranoia fallback.
+Every other backend is differentially tested against it: int8 operands
+ride float64 BLAS (bit-exact — every partial sum is bounded by
+``k * 127^2``, far below 2^53), wider integer dtypes take NumPy's int64
+matmul.
 """
 
 from __future__ import annotations
@@ -20,9 +17,6 @@ class NumpyF64Backend(GemmBackend):
     """Float64-BLAS route for int8 codes (the default, and the oracle)."""
 
     name = "numpy-f64"
-    exact = True
-    threaded = False
-    bypass = True
 
     def kernel(self) -> str:
         return "f64-blas"
@@ -46,25 +40,3 @@ class NumpyF64Backend(GemmBackend):
     ) -> np.ndarray:
         bf = b_f64 if b_f64 is not None else b_q.astype(np.float64)
         return a_q.astype(np.float64) @ bf
-
-
-class NumpyIntBackend(GemmBackend):
-    """All-integer materialization (the old ``fast_gemm=False`` path)."""
-
-    name = "numpy-int"
-    exact = True
-    threaded = False
-    #: Never bypass: this backend exists to force the integer round trip
-    #: on every call, exactly as ``fast_gemm=False`` did.
-    bypass = False
-
-    def kernel(self) -> str:
-        return "int64-matmul"
-
-    def product_int64(
-        self,
-        a_q: np.ndarray,
-        b_q: np.ndarray,
-        b_f64: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return a_q.astype(np.int64) @ b_q.astype(np.int64)

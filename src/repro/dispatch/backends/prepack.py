@@ -1,11 +1,10 @@
 """Weight-prepack cache: backend-specific B mirrors packed once per buffer.
 
 Weight GEMMs reuse the same quantized weight buffer for every call of a
-campaign, yet before this cache each backend re-derived its preferred B
-layout per call — the ``blocked`` backend re-cast the int8 codes to
-float32, the ``native`` backend would have re-packed its column panels.
-:class:`PrepackCache` memoizes those derived mirrors exactly like the
-float64 mirror the engine already caches on
+campaign, so a backend that prefers its own B layout (the ``native``
+backend's packed column panels) should derive it once per buffer, not
+per call. :class:`PrepackCache` memoizes those derived mirrors exactly
+like the float64 mirror the engine already caches on
 :class:`~repro.models.quantized.QuantizedWeight` (DESIGN.md section 13):
 one entry per live weight buffer, keyed by object identity, dropped when
 the array is garbage-collected, and **invalidated on mutation** — every
@@ -13,7 +12,7 @@ lookup re-checks a content fingerprint (full CRC up to 1 MiB, sampled
 beyond) and repacks when the buffer changed underneath it.
 
 The cache is registry-level infrastructure shared by every backend; a
-backend opts in by calling :func:`packed_mirror` with its own packer
+backend opts in by calling :meth:`PREPACK.packed` with its own packer
 (keyed by name, so several backends can cache different mirrors of the
 same buffer). Hit/miss/invalidation counters feed the
 ``prepack_hit_rate`` metric in ``BENCH_lanes.json``.
@@ -150,9 +149,3 @@ class PrepackCache:
 #: The process-wide cache every backend shares.
 PREPACK = PrepackCache()
 
-
-def packed_mirror(
-    b_q: np.ndarray, packer: str, pack: Callable[[np.ndarray], Any]
-) -> Any:
-    """Module-level convenience over the shared :data:`PREPACK` cache."""
-    return PREPACK.packed(b_q, packer, pack)

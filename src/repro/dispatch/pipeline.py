@@ -83,9 +83,6 @@ class GemmCall:
     need_int: bool = False  # an instrument needs materialized accumulators
     protected: bool = False  # checksum hardware active for this call
     replayed: bool = False
-    # GemmBackend executing this call (set by QuantizeInstrument from the
-    # executor's selection; a caller may pre-set it for per-call override)
-    backend: Optional[object] = None
     # accumulators (materialized route only)
     clean: Optional[np.ndarray] = None
     acc: Optional[np.ndarray] = None
@@ -162,8 +159,6 @@ class QuantizeInstrument(Instrument):
         n = int(call.b_q.shape[-1])
         call.macs = rows * call.a_q.shape[-1] * n
         call.out_shape = tuple(call.a_q.shape[:-1]) + (n,)
-        if call.backend is None:
-            call.backend = ex.backend
 
 
 class RecordInstrument(Instrument):

@@ -34,7 +34,6 @@ on protected vector units.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.abft.protectors import Protector
-from repro.dispatch.backends import GemmBackend, get_backend, resolve_backend
+from repro.dispatch.backends import GemmBackend, resolve_backend
 from repro.dispatch.pipeline import (
     GemmCall as DispatchCall,
     GemmCallRecord,
@@ -60,7 +59,6 @@ from repro.models.kv_cache import KVCache, LayerKV
 from repro.models.replay import (
     CleanTrace,
     ReplaySession,
-    check_trace_backend,
     replay_skipped_calls,
     resume_layer,
 )
@@ -206,8 +204,7 @@ class GemmExecutor:
         self.wraparound = wraparound
         #: The GEMM kernel strategy (DESIGN.md section 11). Resolution
         #: order: explicit argument > $REPRO_GEMM_BACKEND > "numpy-f64".
-        #: Exact backends are bit-identical to each other; a non-exact one
-        #: additionally segregates replay-trace keys and trial provenance.
+        #: Every registered backend is bit-identical to the oracle.
         self.backend: GemmBackend = resolve_backend(backend)
         self.total_macs = 0
         self.macs_by_component: dict[str, int] = {}
@@ -247,23 +244,6 @@ class GemmExecutor:
     def cost(self, instrument: Optional[Instrument]) -> None:
         self._cost = instrument
         self._rebuild_chain()
-
-    @property
-    def fast_gemm(self) -> bool:
-        """Deprecated alias for the backend choice: ``True`` for any
-        BLAS-routed backend, ``False`` for the all-integer ``numpy-int``
-        route. Setting it maps onto ``numpy-f64``/``numpy-int``."""
-        return self.backend.name != "numpy-int"
-
-    @fast_gemm.setter
-    def fast_gemm(self, value: bool) -> None:
-        warnings.warn(
-            "executor.fast_gemm is deprecated; select a GEMM backend instead "
-            '(GemmExecutor(backend="numpy-f64"/"numpy-int") or executor.backend)',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.backend = get_backend("numpy-f64" if value else "numpy-int")
 
     @property
     def trace(self) -> Optional[Instrument]:
@@ -326,7 +306,7 @@ class GemmExecutor:
             return self._dispatch(call)
         t0 = time.perf_counter()
         out = self._dispatch(call)
-        trace.observe(call, time.perf_counter() - t0)
+        trace.observe(call, time.perf_counter() - t0, self.backend.name)
         return out
 
     def _dispatch(self, call: DispatchCall) -> np.ndarray:
@@ -345,10 +325,9 @@ class GemmExecutor:
         key = call.site.component.value
         self.macs_by_component[key] = self.macs_by_component.get(key, 0) + call.macs
         a_q, b_q = call.a_q, call.b_q
-        backend = call.backend if call.backend is not None else self.backend
+        backend = self.backend
         no_overflow = (
-            backend.bypass
-            and a_q.dtype == np.int8
+            a_q.dtype == np.int8
             and b_q.dtype == np.int8
             and a_q.shape[-1] * 127 * 127 <= INT32_MAX
         )
@@ -710,7 +689,6 @@ class QuantizedTransformerLM:
             trace = session.store.get(session.key_full(base, stage, ex))
             if trace is None:
                 return None  # no per-lane trace: packed full route
-            check_trace_backend(trace, ex)
             return self._resume_full(trace, stage, self.lane_split)
         key = session.key_full(tokens, stage, ex)
         trace = session.store.get(key)
@@ -720,7 +698,6 @@ class QuantizedTransformerLM:
             logits, trace = self._record_full(tokens, stage)
             session.store.put(key, trace)
             return logits
-        check_trace_backend(trace, ex)
         return self._resume_full(trace, stage, 1)
 
     def _resume_full(
@@ -773,7 +750,6 @@ class QuantizedTransformerLM:
             calls_by_layer=calls,
             logits=logits,
             backend=ex.backend.name,
-            backend_exact=ex.backend.exact,
         )
         return trace.logits, trace
 
@@ -873,7 +849,6 @@ class QuantizedTransformerLM:
             trace = session.store.get(session.key_generate(base, max_new_tokens, ex))
             if trace is None:
                 return None  # no per-lane trace: packed full route
-            check_trace_backend(trace, ex)
             return self._resume_generate(trace, prompts, max_new_tokens, self.lane_split)
         key = session.key_generate(prompts, max_new_tokens, ex)
         trace = session.store.get(key)
@@ -883,7 +858,6 @@ class QuantizedTransformerLM:
             tokens, trace = self._record_generate(prompts, max_new_tokens)
             session.store.put(key, trace)
             return tokens
-        check_trace_backend(trace, ex)
         return self._resume_generate(trace, prompts, max_new_tokens, 1)
 
     def _resume_generate(
@@ -972,7 +946,6 @@ class QuantizedTransformerLM:
             new_tokens=new_tokens,
             decode_calls=decode_log,
             backend=ex.backend.name,
-            backend_exact=ex.backend.exact,
         )
         return trace.new_tokens, trace
 

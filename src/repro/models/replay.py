@@ -70,12 +70,10 @@ class CleanTrace:
     kv: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     new_tokens: Optional[np.ndarray] = None
     decode_calls: Optional[list[GemmCall]] = None
-    #: Provenance: which GEMM backend produced this trace, and whether it
-    #: is exact (bit-identical to the numpy-f64 oracle). Exact traces
-    #: interchange freely across exact backends; anything else is refused
-    #: by :func:`check_trace_backend` (DESIGN.md section 11).
+    #: Provenance only: which GEMM backend recorded this trace. Every
+    #: registered backend is exact, so traces interchange freely across
+    #: backends (DESIGN.md section 11).
     backend: str = "numpy-f64"
-    backend_exact: bool = True
 
     def __post_init__(self) -> None:
         self.boundaries = [_freeze(b) for b in self.boundaries]
@@ -102,11 +100,9 @@ class TraceStore:
     fingerprint (weights + calibration recipe), the exact token content, the
     forward kind/stage/generation length, and the executor's quantization
     mode and accumulator semantics. Anything else (injector, protector, the
-    choice among *exact* GEMM backends) cannot change a clean forward's
-    bits, so it is *not* part of the key — that is what makes one trace
-    serve every trial of a cell. A non-exact backend is the exception: its
-    name is appended to the key (see :meth:`ReplaySession.key_full`), so
-    its traces never collide with the exact ones.
+    GEMM backend — every registered one is exact) cannot change a clean
+    forward's bits, so it is *not* part of the key — that is what makes one
+    trace serve every trial of a cell.
 
     The store is a byte-capped LRU (``max_bytes``, default from
     ``REPRO_TRACE_CACHE_MB``, 512 MB): a long-lived process sweeping many
@@ -198,48 +194,17 @@ class ReplaySession:
     fingerprint: str
     store: TraceStore = field(default_factory=lambda: TRACES)
 
-    @staticmethod
-    def _backend_tag(executor) -> str:
-        """Key suffix quarantining non-exact backends' traces; empty for
-        exact backends, whose traces are interchangeable by construction."""
-        backend = executor.backend
-        return "" if backend.exact else f"/{backend.name}"
-
     def key_full(self, tokens: np.ndarray, stage: Stage, executor) -> str:
         return (
             f"{self.fingerprint}/full/{stage.value}/{executor.mode}/"
             f"w{int(executor.wraparound)}/{_token_digest(tokens)}"
-            f"{self._backend_tag(executor)}"
         )
 
     def key_generate(self, prompts: np.ndarray, max_new_tokens: int, executor) -> str:
         return (
             f"{self.fingerprint}/gen{max_new_tokens}/{executor.mode}/"
             f"w{int(executor.wraparound)}/{_token_digest(prompts)}"
-            f"{self._backend_tag(executor)}"
         )
-
-
-def check_trace_backend(trace: CleanTrace, executor) -> None:
-    """Refuse a cross-backend trace resume unless it is provably bit-safe.
-
-    Two exact backends produce identical traces, so resuming one's trace
-    under the other is safe by construction; any pairing involving a
-    non-exact backend is not, and raises instead of silently mixing
-    numerics (DESIGN.md section 11).
-    """
-    backend = executor.backend
-    t_name = getattr(trace, "backend", "numpy-f64")
-    t_exact = getattr(trace, "backend_exact", True)
-    if t_name == backend.name:
-        return
-    if t_exact and backend.exact:
-        return
-    raise RuntimeError(
-        f"clean trace recorded under GEMM backend {t_name!r} "
-        f"(exact={t_exact}) cannot be resumed under {backend.name!r} "
-        f"(exact={backend.exact}); only exact<->exact reuse is bit-safe"
-    )
 
 
 def resume_layer(

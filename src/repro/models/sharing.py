@@ -105,7 +105,6 @@ def _collect_trace_arrays(
                 if trace.decode_calls is not None
                 else None,
                 "backend": trace.backend,
-                "backend_exact": trace.backend_exact,
             }
         )
     return arrays, metas
@@ -316,7 +315,6 @@ def attach_traces(manifest: dict, shm=None) -> dict[str, CleanTrace]:
             if meta["decode_calls"] is not None
             else None,
             backend=meta.get("backend", "numpy-f64"),
-            backend_exact=meta.get("backend_exact", True),
         )
     return traces
 

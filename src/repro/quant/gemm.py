@@ -43,16 +43,14 @@ def gemm_int32(
     a_q: np.ndarray,
     b_q: np.ndarray,
     wraparound: bool = True,
-    blas: bool = True,
     b_f64: np.ndarray | None = None,
     backend=None,
 ) -> np.ndarray:
     """``a_q @ b_q`` with INT32 accumulator semantics.
 
-    Since the backend registry landed (DESIGN.md section 11) this is a
-    thin dispatcher: the kernels live in
-    :mod:`repro.dispatch.backends`, and ``blas=True``/``False`` map to
-    the ``numpy-f64``/``numpy-int`` backends that extracted them.
+    A thin dispatcher over the backend registry (DESIGN.md section 11):
+    the kernels live in :mod:`repro.dispatch.backends`, and every one of
+    them is exact, so the choice only affects speed.
 
     Parameters
     ----------
@@ -65,18 +63,13 @@ def gemm_int32(
     wraparound:
         True (default) emulates two's-complement 32-bit overflow; False
         saturates instead.
-    blas:
-        Route int8 operands through the float64 BLAS pipeline (bit-exact:
-        every partial sum is bounded by ``k * 127^2``, far below 2^53).
-        False forces NumPy's non-BLAS integer matmul — the seed engine's
-        route, kept as a benchmark baseline and paranoia fallback.
     b_f64:
         Optional pre-converted float64 mirror of ``b_q`` (weights cache one
         on :class:`~repro.models.quantized.QuantizedWeight`); skips the
         per-call conversion on the BLAS route. Values must equal ``b_q``.
     backend:
         A :class:`~repro.dispatch.backends.GemmBackend` instance or
-        registered name; overrides the ``blas`` flag's route.
+        registered name; ``None`` means the ``numpy-f64`` oracle.
 
     Returns
     -------
@@ -85,10 +78,8 @@ def gemm_int32(
     """
     # Imported lazily: the backends package imports this module for the
     # wrap/saturate semantics.
-    from repro.dispatch.backends import get_backend
+    from repro.dispatch.backends import DEFAULT_BACKEND, GemmBackend, get_backend
 
-    if backend is None:
-        backend = get_backend("numpy-f64" if blas else "numpy-int")
-    elif isinstance(backend, str):
-        backend = get_backend(backend)
+    if not isinstance(backend, GemmBackend):
+        backend = get_backend(backend or DEFAULT_BACKEND)
     return backend.matmul_int32(a_q, b_q, wraparound=wraparound, b_f64=b_f64)

@@ -60,15 +60,14 @@ class TraceInstrument(Instrument):
 
     # The executor times the full dispatch/replay window and reports here;
     # the inherited before/after/replay hooks stay no-ops on purpose.
-    def observe(self, call: GemmCall, wall_s: float) -> None:
+    def observe(self, call: GemmCall, wall_s: float, backend: str) -> None:
         row = self.by_site.get(call.site)
         if row is None:
             row = self.by_site[call.site] = SiteWall()
         row.calls += 1
         row.wall_s += wall_s
         row.macs += call.macs
-        if call.backend is not None:
-            row.backend = call.backend.name
+        row.backend = backend
 
     def observe_replay(self, call: GemmCall, wall_s: float) -> None:
         row = self.by_site.get(call.site)

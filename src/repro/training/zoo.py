@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,7 +162,18 @@ def get_pretrained(name: str, seed: int = 0, use_cache: bool = True) -> Pretrain
         meta = json.dumps(
             {"spec": _spec_fingerprint(spec), "final_loss": bundle.final_loss}
         )
-        np.savez(path, __meta__=np.asarray(meta), **bundle.state)
+        # Write beside the final path, then rename it into place: a
+        # concurrent cold worker sees no checkpoint or a whole one, never a
+        # torn file. The temp name ends in .npz, or np.savez would add it.
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp.npz"
+        )
+        os.close(fd)
+        try:
+            np.savez(tmp, __meta__=np.asarray(meta), **bundle.state)
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
     return bundle
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: cached tiny models and evaluators.
+"""Shared fixtures: cached tiny models and evaluators, plus the test-only
+``test-mirror`` GEMM backend.
 
 The zoo caches trained weights on disk (``$REPRO_CACHE``), so the first test
 session trains the mini models (~10 s) and later sessions load instantly.
@@ -6,38 +7,39 @@ session trains the mini models (~10 s) and later sessions load instantly.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.characterization.evaluator import ModelEvaluator
+from repro.dispatch.backends import (
+    GemmBackend,
+    backend_names,
+    get_backend,
+    register_backend,
+)
 from repro.models.export import quantize_model
 from repro.training.zoo import get_pretrained
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_autotune_table(tmp_path_factory):
-    """Point the ``auto`` backend's winner table at a throwaway path.
+class _MirrorBackend(GemmBackend):
+    """Exact dummy: delegates the product to the numpy-f64 oracle.
 
-    The conformance suite drives ``auto`` through hundreds of shape
-    classes; persisting those micro-benchmarked winners into the user's
-    real ``$REPRO_CACHE`` table would pollute production routing with
-    test-shape timings."""
-    from repro.dispatch.backends import get_backend
-    from repro.dispatch.backends.auto import ENV_TABLE
+    Registered at import, before any test module is collected, so the
+    registry-driven parametrizations in ``tests/test_backends.py`` pick it
+    up — proving a backend added from *outside* the package inherits the
+    whole conformance contract — and so backend-switching tests (pinned
+    campaigns, forked pool workers, shared-memory manifests) have a
+    non-default backend that is always available.
+    """
 
-    path = tmp_path_factory.mktemp("autotune") / "gemm-table.json"
-    saved = os.environ.get(ENV_TABLE)
-    os.environ[ENV_TABLE] = str(path)
-    auto = get_backend("auto")
-    auto._classes = None  # drop anything loaded before the override
-    yield
-    if saved is None:
-        os.environ.pop(ENV_TABLE, None)
-    else:
-        os.environ[ENV_TABLE] = saved
-    auto._classes = None
+    name = "test-mirror"
+
+    def product_int64(self, a_q, b_q, b_f64=None):
+        return get_backend("numpy-f64").product_int64(a_q, b_q, b_f64=b_f64)
+
+
+if _MirrorBackend.name not in backend_names():
+    register_backend(_MirrorBackend())
 
 
 @pytest.fixture(scope="session")

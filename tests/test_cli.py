@@ -79,9 +79,9 @@ class TestBackendCommands:
     def test_backend_list_shows_registry(self, capsys):
         assert main(["backend", "list", "--no-timing"]) == 0
         out = capsys.readouterr().out
-        for name in ("numpy-f64", "numpy-int", "blocked"):
+        for name in ("numpy-f64", "native"):
             assert name in out
-        assert "exact" in out and "kernel" in out
+        assert "threaded" in out and "kernel" in out
 
     def test_backend_list_with_timings(self, capsys):
         assert main(["backend", "list"]) == 0
@@ -103,27 +103,69 @@ class TestBackendCommands:
         path.write_text(json.dumps(spec.to_dict()))
         store = tmp_path / "store"
         assert main(["campaign", "run", "--spec", str(path),
-                     "--store", str(store), "--backend", "numpy-int"]) == 0
+                     "--store", str(store), "--backend", "test-mirror"]) == 0
         with ResultStore(store, create=False) as opened:
             (record,) = opened.records()
-            assert record.result.backend == "numpy-int"
+            assert record.result.backend == "test-mirror"
 
-    def test_campaign_run_rejects_unknown_backend(self, opt_bundle, tmp_path):
+    @staticmethod
+    def _one_error_line(capsys, *needles):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro: error:")
+        for needle in needles:
+            assert needle in lines[0]
+        assert "Traceback" not in captured.err
+        return lines[0]
+
+    def test_campaign_run_rejects_unknown_backend(self, tmp_path, capsys):
+        path = self._spec_path(tmp_path, "cli-bad-backend", seeds=(0,))
+        store = tmp_path / "s"
+        assert main(["campaign", "run", "--spec", str(path),
+                     "--store", str(store), "--backend", "no-such-kernel"]) == 2
+        self._one_error_line(capsys, "no-such-kernel", str(path))
+        assert not store.exists()
+
+    @pytest.mark.parametrize("removed", ["blocked", "numpy-int", "auto"])
+    def test_spec_naming_removed_backend_is_a_clean_error(
+        self, tmp_path, capsys, removed
+    ):
         import json
 
-        from repro.campaigns.spec import CampaignSpec, ErrorSpec, SiteSpec
+        path = self._spec_path(tmp_path, "cli-removed-backend", seeds=(0,))
+        payload = json.loads(path.read_text())
+        payload["backend"] = removed
+        path.write_text(json.dumps(payload))
+        for command in ("run", "status", "report"):
+            assert main(["campaign", command, "--spec", str(path),
+                         "--store", str(tmp_path / "s")]) == 2
+            self._one_error_line(capsys, repr(removed), "registered")
 
-        spec = CampaignSpec(
-            name="cli-bad-backend", models=("opt-mini",),
-            sites=(SiteSpec.only(components=["O"], stages=["prefill"]),),
-            errors=(ErrorSpec.bitflip(1e-3, bits=(30,)),),
-            seeds=(0,),
-        )
+    def test_malformed_spec_json_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
-        with pytest.raises(KeyError, match="no-such-kernel"):
-            main(["campaign", "run", "--spec", str(path),
-                  "--store", str(tmp_path / "s"), "--backend", "no-such-kernel"])
+        path.write_text('{"name": "broken", "models": ["opt-mini"],')
+        assert main(["campaign", "run", "--spec", str(path),
+                     "--store", str(tmp_path / "s")]) == 2
+        self._one_error_line(capsys, "not valid JSON", str(path))
+
+    def test_spec_problems_are_clean_errors(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["campaign", "status", "--spec", str(missing)]) == 2
+        self._one_error_line(capsys, "cannot read spec", str(missing))
+
+        path = tmp_path / "spec.json"
+        path.write_text('{"models": ["opt-mini"]}')
+        assert main(["campaign", "run", "--spec", str(path)]) == 2
+        self._one_error_line(capsys, "missing key 'name'")
+
+        path.write_text('{"name": "x", "models": ["opt-mini"], "seedz": 3}')
+        assert main(["campaign", "run", "--spec", str(path)]) == 2
+        self._one_error_line(capsys, "unknown campaign spec keys", "seedz")
+
+        path.write_text("[1, 2]")
+        assert main(["campaign", "run", "--spec", str(path)]) == 2
+        self._one_error_line(capsys, "JSON object")
 
     def _spec_path(self, tmp_path, name, seeds=(0, 1)):
         import json

@@ -7,7 +7,7 @@ The contract (DESIGN.md section 8), asserted with **exact** equality
   GEMM route — same outputs, same injector RNG streams and statistics,
   same protector inspection statistics — on every route (bypass,
   materialized, ±injector, ±protector, batched operands, wraparound and
-  saturating accumulators, BLAS and integer kernels);
+  saturating accumulators, default and non-default backends);
 - attaching a :class:`CostInstrument` is observationally inert: logits,
   tokens, RNG streams, and ABFT statistics are unchanged across
   prefill+decode, single+batched inputs, replay on/off, ±ABFT;
@@ -71,10 +71,8 @@ def _seed_execute(ex, a_q, b_q, out_scale, site, b_f64=None):
     ex.total_macs += macs
     key = site.component.value
     ex.macs_by_component[key] = ex.macs_by_component.get(key, 0) + macs
-    blas = ex.backend.name != "numpy-int"  # the seed's fast_gemm flag
     no_overflow = (
-        blas
-        and a_q.dtype == np.int8
+        a_q.dtype == np.int8
         and b_q.dtype == np.int8
         and a_q.shape[-1] * 127 * 127 <= INT32_MAX
     )
@@ -85,7 +83,7 @@ def _seed_execute(ex, a_q, b_q, out_scale, site, b_f64=None):
         if b_f64 is None:
             b_f64 = b_q.astype(np.float64)
         return (a_q.astype(np.float64) @ b_f64) * out_scale
-    clean = gemm_int32(a_q, b_q, wraparound=ex.wraparound, blas=blas, b_f64=b_f64)
+    clean = gemm_int32(a_q, b_q, wraparound=ex.wraparound, b_f64=b_f64)
     acc = clean
     if ex.injector is not None:
         acc = ex.injector.corrupt(clean, site)
@@ -135,7 +133,8 @@ class TestSeedRouteEquivalence:
     """dispatch == the seed inline route, bit for bit, on every branch."""
 
     @pytest.mark.parametrize("batched", [False, True])
-    @pytest.mark.parametrize("backend", ["numpy-f64", "numpy-int"])
+    # test-mirror: the exact test-only backend registered by conftest.py
+    @pytest.mark.parametrize("backend", ["numpy-f64", "test-mirror"])
     @pytest.mark.parametrize("wraparound", [True, False])
     @pytest.mark.parametrize(
         "with_injector,with_protector",
@@ -176,18 +175,6 @@ class TestSeedRouteEquivalence:
             assert seed_p.stats.detected == disp_p.stats.detected
             assert seed_p.stats.recovered == disp_p.stats.recovered
             assert seed_p.stats.recovered_macs == disp_p.stats.recovered_macs
-
-    def test_fast_gemm_deprecation_shim(self):
-        """The old flag still works — reading maps off the backend, writing
-        warns and swaps between the two numpy backends."""
-        ex = GemmExecutor(backend="numpy-f64")
-        assert ex.fast_gemm is True and ex.backend.name == "numpy-f64"
-        with pytest.warns(DeprecationWarning):
-            ex.fast_gemm = False
-        assert ex.backend.name == "numpy-int" and ex.fast_gemm is False
-        with pytest.warns(DeprecationWarning):
-            ex.fast_gemm = True
-        assert ex.backend.name == "numpy-f64" and ex.fast_gemm is True
 
     def test_untargeted_bypass_advances_rng_identically(self):
         """A later targeted site draws the same stream whichever route the

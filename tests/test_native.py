@@ -1,13 +1,11 @@
-"""Native C kernel, weight-prepack cache, and autotuned dispatch
-(DESIGN.md section 13).
+"""Native C kernel and weight-prepack cache (DESIGN.md section 13).
 
-The cross-backend *conformance* of ``native`` and ``auto`` (bit-equality
-with the oracle, overflow semantics, engine end-to-end equality) is
-covered by the registry-parametrized suite in ``tests/test_backends.py``
-— both are registered at import time, so they are picked up there
-automatically. This file covers what the shared suite cannot: the
-compile/cache/degrade machinery, the prepack cache's keying and
-mutation invalidation, and the winner table's persistence rules.
+The cross-backend *conformance* of ``native`` (bit-equality with the
+oracle, overflow semantics, engine end-to-end equality) is covered by the
+registry-parametrized suite in ``tests/test_backends.py`` — it is
+registered at import time, so it is picked up there automatically. This
+file covers what the shared suite cannot: the compile/cache/degrade
+machinery and the prepack cache's keying and mutation invalidation.
 
 Tests that need a real compiler skip cleanly on hosts without one (the
 degrade-path tests are exactly the opposite: they *simulate* such
@@ -15,8 +13,6 @@ hosts and must pass everywhere).
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -26,7 +22,6 @@ from repro.dispatch.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.dispatch.backends.auto import AutoBackend, shape_class
 from repro.dispatch.backends.native import (
     ENV_CC,
     ENV_DISABLE,
@@ -121,6 +116,37 @@ class TestNativeCompile:
         # silently compiled around: unavailable, with the env var named.
         assert not backend.available()
         assert ENV_LIB in backend.why_unavailable()
+
+
+    def test_forked_child_rebuilds_row_pool(self, monkeypatch, tmp_path, rng):
+        """A fork-based campaign worker inherits the parent's row-partition
+        pool object but none of its threads; the child must build its own
+        pool instead of waiting forever on the inherited one."""
+        import multiprocessing
+
+        backend = _fresh_native(monkeypatch, tmp_path)
+        assert backend.available(), backend.why_unavailable()
+        backend._n_threads = 2  # partition rows even on a one-core host
+        a = rng.integers(-128, 128, size=(256, 32), dtype=np.int8)
+        b = rng.integers(-128, 128, size=(32, 16), dtype=np.int8)
+        np.testing.assert_array_equal(backend.product_int64(a, b), _oracle(a, b))
+        assert backend._pool is not None  # the parent's pool exists
+
+        def child(queue):
+            queue.put(bool((backend.product_int64(a, b) == _oracle(a, b)).all()))
+
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=child, args=(queue,))
+        proc.start()
+        proc.join(30)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        backend.close()
+        assert not hung, "forked child deadlocked on the inherited pool"
+        assert proc.exitcode == 0 and queue.get(timeout=5) is True
 
 
 # --------------------------------------------------------------------------
@@ -240,90 +266,3 @@ class TestPrepackCache:
             backend.product_int64(x, w, b_f64=w.astype(np.float64)),
             _oracle(x, w),
         )
-
-
-# --------------------------------------------------------------------------
-# Autotuned dispatch
-# --------------------------------------------------------------------------
-class TestAutotune:
-    def _ops(self, rng):
-        a = rng.integers(-127, 128, size=(8, 32), dtype=np.int8)
-        b = rng.integers(-127, 128, size=(32, 16), dtype=np.int8)
-        return a, b
-
-    def test_routes_exactly_and_persists(self, tmp_path, rng):
-        table = tmp_path / "table.json"
-        auto = AutoBackend(table_path=table)
-        a, b = self._ops(rng)
-        np.testing.assert_array_equal(auto.product_int64(a, b), _oracle(a, b))
-        assert table.exists()
-        payload = json.loads(table.read_text())
-        cls = shape_class("int32", a.shape, b.shape)
-        assert payload["classes"][cls]["winner"] in payload["classes"][cls][
-            "timings_us"
-        ]
-
-    def test_persisted_winner_skips_retiming(self, tmp_path, rng, monkeypatch):
-        table = tmp_path / "table.json"
-        a, b = self._ops(rng)
-        AutoBackend(table_path=table).product_int64(a, b)
-
-        fresh = AutoBackend(table_path=table)
-        monkeypatch.setattr(
-            fresh,
-            "_tune_class",
-            lambda *args, **kw: pytest.fail("re-tuned a persisted class"),
-        )
-        np.testing.assert_array_equal(fresh.product_int64(a, b), _oracle(a, b))
-
-    def test_corrupt_table_warns_and_retunes(self, tmp_path, rng, caplog):
-        table = tmp_path / "table.json"
-        table.write_text("{ not json")
-        auto = AutoBackend(table_path=table)
-        a, b = self._ops(rng)
-        with caplog.at_level("WARNING", logger="repro.dispatch.backends.auto"):
-            np.testing.assert_array_equal(auto.product_int64(a, b), _oracle(a, b))
-        assert any("unreadable" in r.message for r in caplog.records)
-        assert json.loads(table.read_text())["classes"]  # rebuilt + persisted
-
-    def test_vanished_winner_retunes(self, tmp_path, rng):
-        table = tmp_path / "table.json"
-        a, b = self._ops(rng)
-        cls = shape_class("int32", a.shape, b.shape)
-        table.write_text(
-            json.dumps(
-                {
-                    "abi": 1,
-                    "classes": {cls: {"winner": "ghost-kernel", "timings_us": {}}},
-                }
-            )
-        )
-        auto = AutoBackend(table_path=table)
-        np.testing.assert_array_equal(auto.product_int64(a, b), _oracle(a, b))
-        assert auto.classes()[cls]["winner"] != "ghost-kernel"
-
-    def test_candidates_are_exact_backends_only(self):
-        auto = get_backend("auto")
-        for candidate in auto._candidates():
-            assert candidate.exact
-            assert candidate.name != "auto"
-
-    def test_shape_class_buckets_rows_only(self):
-        # Exact (k, n), pow2-bucketed rows, route and stacking split out.
-        assert shape_class("f64", (5, 32), (32, 16)) == "f64:m8:k32:n16"
-        assert shape_class("f64", (2, 3, 32), (32, 16)) == "f64:m8:k32:n16"
-        assert shape_class("int32", (8, 32), (32, 16)) == "int32:m8:k32:n16"
-        assert (
-            shape_class("f64", (2, 4, 16), (2, 16, 8)) == "f64:m8:k16:n8:stacked"
-        )
-
-    def test_unwritable_table_still_routes(self, tmp_path, rng, caplog):
-        # The table's parent "directory" is a plain file, so persisting
-        # raises OSError on every host (chmod tricks don't bind as root).
-        blocker = tmp_path / "ro"
-        blocker.write_text("")
-        auto = AutoBackend(table_path=blocker / "table.json")
-        a, b = self._ops(rng)
-        with caplog.at_level("WARNING", logger="repro.dispatch.backends.auto"):
-            np.testing.assert_array_equal(auto.product_int64(a, b), _oracle(a, b))
-        assert any("persist" in r.message for r in caplog.records)

@@ -158,12 +158,13 @@ class TestBackendProvenance:
         from repro.dispatch.backends import get_backend, use_backend
 
         model = quantized_model_for(opt_bundle)
-        with use_backend(model.executor, "numpy-int"):
+        # test-mirror: the exact test-only backend registered by conftest.py
+        with use_backend(model.executor, "test-mirror"):
             pack = _publish(opt_bundle)
         try:
-            assert pack.manifest["backend"] == "numpy-int"
+            assert pack.manifest["backend"] == "test-mirror"
             attached = attach_model(pack.manifest)
-            assert attached.executor.backend.name == "numpy-int"
+            assert attached.executor.backend.name == "test-mirror"
         finally:
             pack.close()
 
@@ -190,15 +191,10 @@ class TestBackendProvenance:
         finally:
             pack.close()
 
-    def test_attached_traces_resume_exact_and_refuse_lossy(self, opt_bundle):
-        """Shared-memory worker path: attached trace metas round-trip backend
-        provenance; exact<->exact resume is bit-identical, non-exact refused."""
+    def test_attached_traces_keep_backend_provenance(self, opt_bundle):
+        """Shared-memory worker path: attached trace metas round-trip the
+        recording backend's name."""
         from repro.characterization.evaluator import ModelEvaluator
-        from repro.dispatch.backends import (
-            GemmBackend,
-            register_backend,
-            unregister_backend,
-        )
         from repro.models.replay import TRACES
         from repro.models.sharing import attach_traces
 
@@ -210,26 +206,8 @@ class TestBackendProvenance:
         pack = publish_bundle(fingerprint, evaluator.model, traces)
         try:
             rebuilt = attach_traces(pack.manifest)
+            assert rebuilt.keys() == traces.keys()
             for key, trace in rebuilt.items():
                 assert trace.backend == traces[key].backend
-                assert trace.backend_exact is True
-            # a non-exact executor must refuse every attached exact trace
-            class _Lossy(GemmBackend):
-                name = "test-shm-lossy"
-                exact = False
-
-                def product_int64(self, a_q, b_q, b_f64=None):
-                    return a_q.astype(np.int64) @ b_q.astype(np.int64)
-
-            from repro.models.replay import check_trace_backend
-
-            lossy = register_backend(_Lossy())
-            try:
-                ex = type("E", (), {"backend": lossy})()
-                for trace in rebuilt.values():
-                    with pytest.raises(RuntimeError, match="test-shm-lossy"):
-                        check_trace_backend(trace, ex)
-            finally:
-                unregister_backend("test-shm-lossy")
         finally:
             pack.close()

@@ -83,6 +83,44 @@ class TestZoo:
         for key, value in opt_bundle.state.items():
             np.testing.assert_array_equal(value, again.state[key])
 
+    def test_failed_checkpoint_write_leaves_no_file(
+        self, opt_bundle, tmp_path, monkeypatch
+    ):
+        """A write that dies partway leaves nothing at the final path (so a
+        concurrent cold worker can never load a torn checkpoint), and the
+        next call trains and caches cleanly."""
+        import repro.training.zoo as zoo
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        trained = []
+
+        def fake_train(name, seed):  # the opt_bundle fixture stands in for training
+            trained.append(name)
+            return opt_bundle
+
+        monkeypatch.setattr(zoo, "_train", fake_train)
+        real_savez = np.savez
+
+        def torn_savez(file, *args, **kwds):
+            with open(file, "wb") as handle:
+                handle.write(b"PK\x03\x04 half a zip")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            get_pretrained("opt-mini")
+        assert list(tmp_path.iterdir()) == []  # no final file, no temp file
+
+        monkeypatch.setattr(np, "savez", real_savez)
+        fresh = get_pretrained("opt-mini")
+        assert trained == ["opt-mini", "opt-mini"]
+        assert [p.name for p in tmp_path.iterdir()] == ["zoo-opt-mini-seed0.npz"]
+        cached = get_pretrained("opt-mini")
+        assert trained == ["opt-mini", "opt-mini"]  # loaded, not retrained
+        assert cached.final_loss == fresh.final_loss
+        for key, value in fresh.state.items():
+            np.testing.assert_array_equal(value, cached.state[key])
+
     def test_bundle_trains_to_near_source_entropy(self, opt_bundle):
         floor = opt_bundle.source.entropy_rate()
         assert opt_bundle.final_loss < floor + 0.25
