@@ -209,6 +209,9 @@ class NativeBackend(GemmBackend):
 
     name = "native"
 
+    #: Rows each thread must get before the row dimension is partitioned.
+    _min_rows_per_thread = _MIN_ROWS_PER_THREAD
+
     def __init__(self) -> None:
         self._kernel: Optional[_Kernel] = None
         self._checked = False
@@ -312,7 +315,9 @@ class NativeBackend(GemmBackend):
         b_q = np.ascontiguousarray(b_q)
         if not cached:
             return kernel.pack_b(b_q)
-        return PREPACK.packed(b_q, f"native-nr{kernel.panel_width}", kernel.pack_b)
+        # The VNNI and portable builds pack panels in different layouts.
+        layout = f"native-nr{kernel.panel_width}-isa{kernel.isa}"
+        return PREPACK.packed(b_q, layout, kernel.pack_b)
 
     def _gemm_2d(
         self,
@@ -324,7 +329,7 @@ class NativeBackend(GemmBackend):
         out: np.ndarray,
     ) -> None:
         rows = a2d.shape[0]
-        if self._n_threads <= 1 or rows < 2 * _MIN_ROWS_PER_THREAD:
+        if self._n_threads <= 1 or rows < 2 * self._min_rows_per_thread:
             kernel.gemm_rows(a2d, packed, k, n, 0, rows, out)
             return
         chunk = -(-rows // self._n_threads)

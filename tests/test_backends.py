@@ -2,7 +2,9 @@
 
 The contract is that every registered GEMM backend is exact. Each one —
 plus the test-only ``test-mirror`` dummy from ``conftest.py``, proving
-third-party backends inherit the whole contract — is held to
+third-party backends inherit the whole contract, and forced
+configurations of ``native`` (the portable C build, row-partitioned
+threading) that the host's default build may never take — is held to
 **bit-equality** with an independent int64 oracle and with the
 ``numpy-f64`` reference route:
 
@@ -36,6 +38,7 @@ from repro.campaigns.spec import CampaignSpec, ErrorSpec, SiteSpec, Trial
 from repro.campaigns.store import ResultStore
 from repro.dispatch.backends import (
     GemmBackend,
+    native,
     get_backend,
     resolve_backend,
     use_backend,
@@ -70,9 +73,77 @@ class _UnavailableBackend(GemmBackend):
         raise AssertionError("unavailable backend must never run")
 
 
-#: Registry snapshot at collection: the built-in backends + the mirror.
+class _NativeVariant(native.NativeBackend):
+    """The ``native`` kernel under a forced configuration.
+
+    ``portable`` compiles the kernel without ``-march=native``, so the
+    portable C path runs even on AVX512-VNNI hosts. ``threads`` partitions
+    the row dimension across that many threads on every multi-row product,
+    ragged chunks included. Not registered: tests pass the instance.
+    """
+
+    def __init__(self, name, *, portable=False, threads=None):
+        super().__init__()
+        self.name = name
+        self._portable = portable
+        if threads is not None:
+            self._n_threads = threads
+            self._min_rows_per_thread = 1
+
+    def _load(self):
+        if not self._portable or self._checked:
+            return super()._load()
+        self._checked = True
+        compiler = native._find_compiler()
+        if os.environ.get(native.ENV_DISABLE) or compiler is None:
+            self._error = "the portable build needs a C compiler"
+            return None
+        source = native.SOURCE_PATH.read_bytes()
+        digest = native._source_digest(source, compiler)
+        lib = native.build_dir() / f"gemm_int8-portable-{digest}.so"
+        if not lib.exists():
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            tmp = lib.with_name(f"{lib.name}.tmp.{os.getpid()}")
+            cmd = [compiler, *native._BASE_FLAGS, "-o", str(tmp), str(native.SOURCE_PATH)]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                self._error = proc.stderr[-500:]
+                return None
+            os.replace(tmp, lib)
+        self._kernel = native._Kernel(lib, origin="portable")
+        return self._kernel
+
+
+NATIVE_VARIANTS = {
+    v.name: v
+    for v in (
+        _NativeVariant("test-native-portable", portable=True),
+        _NativeVariant("test-native-split3", threads=3),
+        _NativeVariant("test-native-portable-split3", portable=True, threads=3),
+    )
+}
+
+
+def _lookup(name):
+    """A registered backend by name, or one of the native variants."""
+    return NATIVE_VARIANTS.get(name) or get_backend(name)
+
+
+def _available(name):
+    backend = _lookup(name)
+    if not backend.available():
+        pytest.skip(f"{name} unavailable: {backend.why_unavailable()}")
+    return backend
+
+
+#: Registry snapshot at collection (the built-in backends + the mirror),
+#: then the native variants, which are checked for availability per test.
 ALL_BACKENDS = tuple(backend_names())
 AVAILABLE_BACKENDS = tuple(n for n in ALL_BACKENDS if get_backend(n).available())
+CONFORMANCE_BACKENDS = ALL_BACKENDS + tuple(NATIVE_VARIANTS)
+ALTERNATE_BACKENDS = tuple(
+    n for n in AVAILABLE_BACKENDS if n != "numpy-f64"
+) + tuple(NATIVE_VARIANTS)
 
 
 def _oracle_int32(a, b, wraparound=True):
@@ -112,15 +183,12 @@ SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("name", ALL_BACKENDS)
+@pytest.mark.parametrize("name", CONFORMANCE_BACKENDS)
 class TestKernelConformance:
     """Every backend == the int64 oracle, bit for bit, on every input."""
 
     def _backend(self, name):
-        backend = get_backend(name)
-        if not backend.available():
-            pytest.skip(f"{name} unavailable: {backend.why_unavailable()}")
-        return backend
+        return _available(name)
 
     @pytest.mark.parametrize("a_shape,b_shape", SHAPES)
     def test_adversarial_shapes(self, name, a_shape, b_shape):
@@ -214,6 +282,45 @@ class TestKernelConformance:
                 np.testing.assert_array_equal(
                     backend.matmul_int32(a, b), _oracle_int32(a, b)
                 )
+
+
+class TestNativeVariants:
+    """The forced native configurations take the routes they exist for."""
+
+    def test_portable_variant_runs_the_portable_kernel(self):
+        backend = _available("test-native-portable")
+        assert backend._load().isa == 0
+        assert "[portable]" in backend.kernel()
+
+    def test_split_variant_partitions_ragged_rows(self, rng, monkeypatch):
+        backend = _available("test-native-split3")
+        kernel = backend._load()
+        gemm_rows = kernel.gemm_rows
+        spans = []
+
+        def spy(a2d, packed, k, n, row0, row1, out):
+            spans.append((row0, row1))
+            gemm_rows(a2d, packed, k, n, row0, row1, out)
+
+        monkeypatch.setattr(kernel, "gemm_rows", spy)
+        a, b = _int8(rng, (17, 33)), _int8(rng, (33, 9))
+        np.testing.assert_array_equal(
+            backend.product_int64(a, b), _oracle_int32(a, b)
+        )
+        assert sorted(spans) == [(0, 6), (6, 12), (12, 17)]
+
+    def test_builds_never_share_a_prepacked_weight(self, rng):
+        """One weight buffer packed by the host build and by the portable
+        build: each must get a panel in its own layout from the cache."""
+        host = _available("native")
+        portable = _available("test-native-portable")
+        a, b = _int8(rng, (6, 40)), _int8(rng, (40, 20))
+        b_f64 = b.astype(np.float64)
+        expected = _oracle_int32(a, b)
+        for backend in (host, portable, host):
+            np.testing.assert_array_equal(
+                backend.matmul_int32(a, b, b_f64=b_f64), expected
+            )
 
 
 class TestGemmInt32Delegation:
@@ -373,14 +480,13 @@ class TestEngineEquivalence:
             model.attach(None, None)
         return logits, injector, protector
 
-    @pytest.mark.parametrize(
-        "name", [n for n in AVAILABLE_BACKENDS if n != "numpy-f64"]
-    )
+    @pytest.mark.parametrize("name", ALTERNATE_BACKENDS)
     def test_forward_full_logits_rng_and_protector(self, name, opt_quant):
+        backend = _available(name)
         vocab = opt_quant.config.vocab_size
         tokens = np.stack([(np.arange(24) * (1 + i)) % vocab for i in range(2)])
         ref, ref_inj, ref_prot = self._forward(opt_quant, tokens, "numpy-f64")
-        got, inj, prot = self._forward(opt_quant, tokens, name)
+        got, inj, prot = self._forward(opt_quant, tokens, backend)
         np.testing.assert_array_equal(ref, got)
         assert inj._call_index == ref_inj._call_index
         assert inj.stats.injected_errors == ref_inj.stats.injected_errors
@@ -389,12 +495,11 @@ class TestEngineEquivalence:
         assert prot.stats.detected == ref_prot.stats.detected
         assert prot.stats.recovered == ref_prot.stats.recovered
 
-    @pytest.mark.parametrize(
-        "name", [n for n in AVAILABLE_BACKENDS if n != "numpy-f64"]
-    )
+    @pytest.mark.parametrize("name", ALTERNATE_BACKENDS)
     def test_trial_columns_solo_and_lane_packed(self, name, opt_evaluator):
         from repro.dispatch.cost import CostSpec
 
+        backend = _available(name)
         trials = [_trial(seed=s) for s in (0, 1, 2)]
         cost = CostSpec()
         resident = opt_evaluator.model.executor.backend.name
@@ -403,11 +508,11 @@ class TestEngineEquivalence:
             for t in trials
         ]
         solo = [
-            evaluate_trial(t, opt_evaluator, cost=cost, backend=name)
+            evaluate_trial(t, opt_evaluator, cost=cost, backend=backend)
             for t in trials
         ]
         packed = evaluate_lane_pack(
-            trials, opt_evaluator, cost=cost, backend=name
+            trials, opt_evaluator, cost=cost, backend=backend
         )
         for r, s, p in zip(ref, solo, packed):
             for field in RESULT_FIELDS:
