@@ -628,13 +628,14 @@ def run_campaign(
     if active:
         # Train/load each still-needed model once in the parent, not N times
         # concurrently in the workers. (An external fabric runner needs this
-        # too: the packer and the degrade-to-local pool both read configs.)
+        # too: its degrade-to-local pool forks workers that load bundles.)
         needed: dict[str, set[str]] = {}
         for cell in active:
             for trial in cell.pending:
                 needed.setdefault(trial.model, set()).add(trial.task)
-        for model in sorted(needed):
-            get_pretrained(model)
+        with telemetry.span("campaign.warm_models", models=len(needed)):
+            for model in sorted(needed):
+                get_pretrained(model)
     if active and runner is None:
         if workers > 1:
             # Quantize/calibrate once, record clean traces, publish both as
@@ -735,7 +736,8 @@ def run_campaign(
                     wave.append(trial)
                     owner[trial.key] = cell
                 del cell.pending[:take]
-            packs = packer.pack(wave)
+            with telemetry.span("campaign.pack", trials=len(wave)):
+                packs = packer.pack(wave)
             wave_index += 1
             logger.info(
                 "wave %d: %d trials in %d lane packs across %d cells (%s)",

@@ -45,6 +45,7 @@ from repro.energy.model import EnergyModel
 from repro.errors.injector import ErrorInjector, LaneInjector
 from repro.errors.sites import Component, Stage
 import repro.telemetry as telemetry
+from repro.training.zoo import model_config
 
 _VOLTAGE_MODEL = VoltageBerModel()
 
@@ -168,9 +169,10 @@ class LanePacker:
     """Groups pending trials into lane packs of at most ``max_lanes``.
 
     ``config_for`` maps a zoo model name to its ``ModelConfig`` (the resume
-    signature needs layer/component counts); the default loads — and, in
-    the campaign parent, merely re-reads the already-warmed — pretrained
-    bundle.
+    signature needs layer/component counts); the default,
+    :func:`repro.training.zoo.model_config`, reads the architecture from
+    the zoo spec and loads no weights. :meth:`pack` resolves each model
+    name once per call, not once per trial.
     """
 
     def __init__(
@@ -181,18 +183,17 @@ class LanePacker:
         if max_lanes < 1:
             raise ValueError("max_lanes must be >= 1")
         self.max_lanes = max_lanes
-        if config_for is None:
-            from repro.training.zoo import get_pretrained
-
-            config_for = lambda model: get_pretrained(model).config  # noqa: E731
-        self.config_for = config_for
+        self.config_for = model_config if config_for is None else config_for
 
     def pack(self, trials: Sequence[Trial]) -> list[list[Trial]]:
         """Partition ``trials`` into packs, preserving first-seen order."""
+        configs: dict[str, object] = {}
         groups: dict[tuple, list[Trial]] = {}
         order: list[tuple] = []
         for trial in trials:
-            key = pack_signature(trial, self.config_for(trial.model))
+            if trial.model not in configs:
+                configs[trial.model] = self.config_for(trial.model)
+            key = pack_signature(trial, configs[trial.model])
             if key not in groups:
                 groups[key] = []
                 order.append(key)

@@ -1,7 +1,12 @@
 """Training substrate: LM trainer and the cached tiny-model zoo."""
 
 from repro.training.trainer import TrainConfig, Trainer, TrainResult
-from repro.training.zoo import PretrainedBundle, get_pretrained, clear_cache
+from repro.training.zoo import (
+    PretrainedBundle,
+    clear_cache,
+    get_pretrained,
+    model_config,
+)
 
 __all__ = [
     "TrainConfig",
@@ -9,5 +14,6 @@ __all__ = [
     "TrainResult",
     "PretrainedBundle",
     "get_pretrained",
+    "model_config",
     "clear_cache",
 ]

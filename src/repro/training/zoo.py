@@ -108,9 +108,16 @@ def clear_cache() -> None:
             path.unlink()
 
 
+def model_config(name: str) -> ModelConfig:
+    """The architecture of zoo model ``name``, without loading any weights."""
+    if name not in ZOO_SPECS:
+        raise KeyError(f"unknown zoo model {name!r}; available: {sorted(ZOO_SPECS)}")
+    return ModelConfig(**ZOO_SPECS[name]["config"])
+
+
 def _train(name: str, seed: int) -> PretrainedBundle:
     spec = ZOO_SPECS[name]
-    config = ModelConfig(**spec["config"])
+    config = model_config(name)
     source = MarkovTextSource(seed=seed, **spec["source"])
     model = FloatTransformerLM(config, seed=seed)
     trainer = Trainer(model, TrainConfig(**spec["train"]))
@@ -128,8 +135,7 @@ def _train(name: str, seed: int) -> PretrainedBundle:
 
 def get_pretrained(name: str, seed: int = 0, use_cache: bool = True) -> PretrainedBundle:
     """Return a trained bundle, training and caching it on first use."""
-    if name not in ZOO_SPECS:
-        raise KeyError(f"unknown zoo model {name!r}; available: {sorted(ZOO_SPECS)}")
+    config = model_config(name)
     path = _cache_path(name, seed)
     spec = ZOO_SPECS[name]
     if use_cache and path.exists():
@@ -146,7 +152,6 @@ def get_pretrained(name: str, seed: int = 0, use_cache: bool = True) -> Pretrain
             meta = {}
             state = {}
         if state and meta.get("spec") == _spec_fingerprint(spec):
-            config = ModelConfig(**spec["config"])
             source = MarkovTextSource(seed=seed, **spec["source"])
             return PretrainedBundle(
                 name=name,

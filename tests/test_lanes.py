@@ -305,6 +305,35 @@ class TestLanePacker:
         assert [len(p) for p in packs] == [4, 4, 2]
         assert [t.seed for p in packs for t in p] == list(range(10))
 
+    def test_default_packer_reads_no_checkpoint(self, monkeypatch):
+        import repro.training.zoo as zoo
+
+        llama = [
+            Trial(
+                model="llama-mini", task="perplexity",
+                site=SiteSpec.only(layers=[layer]),
+                error=ErrorSpec.bitflip(1e-3, bits=(30,)), seed=seed,
+            )
+            for layer in (1, 0)
+            for seed in (0, 1)
+        ]
+        wave = (
+            _trials(seeds=(0, 1)) + llama
+            + _trials(method="classical-abft", seeds=(0,)) + _trials(task="xsum")
+        )
+        expected = LanePacker(
+            max_lanes=2, config_for=lambda m: zoo.get_pretrained(m).config
+        ).pack(wave)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("lane packing must not read a checkpoint")
+
+        monkeypatch.setattr(zoo, "get_pretrained", no_load)
+        monkeypatch.setattr(np, "load", no_load)
+        packs = LanePacker(max_lanes=2).pack(wave)
+        assert packs == expected
+        assert [len(p) for p in packs] == [2, 2, 2, 1, 2, 1]
+
     def test_pack_rejects_mixed_methods(self, opt_bundle):
         evaluator = ModelEvaluator(opt_bundle, "perplexity")
         mixed = _trials(seeds=(0,)) + _trials(method="classical-abft", seeds=(1,))

@@ -391,6 +391,24 @@ def test_campaign_run_trace_cli(opt_evaluator, tmp_path, capsys):
     assert payload["repro"]["gemmSites"], "per-site GEMM wall table missing"
 
 
+def test_campaign_phase_spans_in_exported_trace(opt_evaluator, tmp_path):
+    spec = CampaignSpec(
+        name="phase-spans",
+        models=["opt-mini"],
+        tasks=["perplexity"],
+        sites=[SiteSpec.only(components=["O"], stages=["prefill"])],
+        errors=[ErrorSpec.bitflip(2e-3, bits=(30,))],
+        seeds=[0],
+    )
+    telemetry.enable()
+    with ResultStore(tmp_path / "store") as store:
+        run_campaign(spec, store, workers=0)
+    payload = telemetry.export_trace(tmp_path / "trace.json")
+    events = {e["name"]: e for e in payload["traceEvents"]}
+    assert events["campaign.warm_models"]["args"]["models"] == 1
+    assert events["campaign.pack"]["args"]["trials"] == 1
+
+
 # ------------------------------------------------------------------ logging
 def test_get_logger_env_level_and_no_duplicate_handlers(monkeypatch):
     root = logging.getLogger("repro")

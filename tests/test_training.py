@@ -9,7 +9,7 @@ from repro.data.markov import MarkovTextSource
 from repro.models.config import ModelConfig
 from repro.models.float_model import FloatTransformerLM
 from repro.training.trainer import TrainConfig, Trainer, lr_at
-from repro.training.zoo import ZOO_SPECS, get_pretrained
+from repro.training.zoo import ZOO_SPECS, get_pretrained, model_config
 
 
 class TestLrSchedule:
@@ -70,6 +70,12 @@ class TestZoo:
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError):
             get_pretrained("gpt5-mini")
+
+    def test_model_config_matches_loaded_bundle(self, opt_bundle, llama_bundle):
+        assert model_config("opt-mini") == opt_bundle.config
+        assert model_config("llama-mini") == llama_bundle.config
+        with pytest.raises(KeyError, match="unknown zoo model"):
+            model_config("gpt5-mini")
 
     def test_all_specs_have_required_fields(self):
         for name, spec in ZOO_SPECS.items():
