@@ -11,8 +11,12 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
+from repro.campaigns.lanes import build_injector
+from repro.campaigns.spec import ErrorSpec, SiteSpec, Trial
 from repro.characterization.evaluator import ModelEvaluator
+from repro.characterization.questions import PROTOCOL_BIT
 from repro.core.realm import ReaLMConfig, ReaLMPipeline
+from repro.evalsuite.metrics import perplexity_from_nll
 from repro.training.zoo import PretrainedBundle, get_pretrained
 from repro.utils.tables import format_table
 
@@ -61,3 +65,41 @@ def pipeline(model_name: str, task: str = "perplexity") -> ReaLMPipeline:
         calib_freqs=FAST_FREQS,
     )
     return ReaLMPipeline(bundle(model_name), config)
+
+
+def sweep_injector(evaluator: ModelEvaluator, site_filter, ber: float, seed: int = 0):
+    """The injector a ``ber_sweep`` trial of this cell attaches (30th bit)."""
+    return build_injector(
+        Trial(
+            model=evaluator.bundle.name,
+            task=evaluator.task,
+            site=SiteSpec.from_filter(site_filter),
+            error=ErrorSpec.bitflip(ber, bits=(PROTOCOL_BIT,)),
+            seed=seed,
+        )
+    )
+
+
+def full_route_score(
+    evaluator: ModelEvaluator, injector=None, cost=None, per_sequence: bool = False
+) -> float:
+    """Score the evaluator's task on the engine's full-forward route.
+
+    The reference route the production path is benchmarked against: the
+    given instruments attached, no clean-trace replay session, one lane.
+    ``per_sequence`` (perplexity only) loops the engine's 1-D
+    ``sequence_nll`` instead of scoring whole batches.
+    """
+    model = evaluator.model
+    model.attach(injector, None)
+    model.executor.cost = cost
+    try:
+        with model.replay_into(None):
+            if per_sequence:
+                return perplexity_from_nll(
+                    [model.sequence_nll(seq) for seq in evaluator.data.sequences]
+                )
+            return evaluator.score_task()
+    finally:
+        model.attach(None, None)
+        model.executor.cost = None

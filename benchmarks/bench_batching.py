@@ -13,7 +13,9 @@ reports the end-to-end speedup the batched engine delivers:
 - ``batched``: the default batched path (whole task per forward,
   lock-step generation).
 
-All three produce bit-identical fault-free scores (asserted), so the table
+Every configuration scores on the engine's full-forward route (no
+clean-trace replay: that speedup is ``bench_replay.py``'s measurement), and
+all three produce bit-identical fault-free scores (asserted), so the table
 is a pure wall-clock comparison of the same measurement.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the workload and skips the
@@ -29,13 +31,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import bundle, table
+from _common import bundle, full_route_score, sweep_injector, table
 
 import numpy as np
 
 from repro.characterization.evaluator import ModelEvaluator, TaskSizing
-from repro.characterization.questions import DEFAULT_BERS, q13_components
+from repro.characterization.questions import DEFAULT_BERS
 from repro.dispatch.backends import GemmBackend
+from repro.errors.sites import SiteFilter, Stage
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -57,42 +60,56 @@ class _Int64Backend(GemmBackend):
         return a_q.astype(np.int64) @ b_q.astype(np.int64)
 
 
-def _evaluators():
-    # replay=False throughout: this benchmark isolates the batching axis,
-    # so no configuration may ride the clean-trace replay engine (that
-    # speedup is bench_replay.py's measurement).
+def _configurations():
+    """(evaluator, per_sequence) per engine configuration."""
     b = bundle("opt-mini")
-    seed_like = ModelEvaluator(
-        b, "perplexity", sizing=SIZING, batched=False, reuse_model=False, replay=False
-    )
+    seed_like = ModelEvaluator(b, "perplexity", sizing=SIZING, reuse_model=False)
     seed_like.model.executor.backend = _Int64Backend()
-    single = ModelEvaluator(b, "perplexity", sizing=SIZING, batched=False, replay=False)
-    batched = ModelEvaluator(b, "perplexity", sizing=SIZING, batched=True, replay=False)
-    return {"seed-equivalent": seed_like, "single-sequence": single, "batched": batched}
+    fast = ModelEvaluator(b, "perplexity", sizing=SIZING)
+    return {
+        "seed-equivalent": (seed_like, True),
+        "single-sequence": (fast, True),
+        "batched": (fast, False),
+    }
 
 
-def _time_q13(evaluator) -> tuple[float, int]:
-    """Best-of-ROUNDS wall clock for the full Q1.3 sweep on one evaluator."""
-    components = None  # all components of the architecture
-    q13_components(evaluator, components=components, bers=BERS[:1])  # warmup
+def _q13(evaluator, per_sequence: bool, bers) -> int:
+    """The Q1.3 sweep (every component, prefill, 30th bit) on one
+    configuration; returns the trial count."""
+    trials = 0
+    for component in evaluator.bundle.config.components:
+        flt = SiteFilter.only(components=[component], stages=[Stage.PREFILL])
+        for ber in bers:
+            full_route_score(
+                evaluator, sweep_injector(evaluator, flt, ber), per_sequence=per_sequence
+            )
+            trials += 1
+    return trials
+
+
+def _time_q13(evaluator, per_sequence: bool) -> tuple[float, int]:
+    """Best-of-ROUNDS wall clock for the full Q1.3 sweep on one configuration."""
+    _q13(evaluator, per_sequence, BERS[:1])  # warmup
     best = float("inf")
     trials = 0
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        records = q13_components(evaluator, components=components, bers=BERS)
+        trials = _q13(evaluator, per_sequence, BERS)
         best = min(best, time.perf_counter() - start)
-        trials = len(records)
     return best, trials
 
 
 def _run():
-    evaluators = _evaluators()
-    clean_scores = {name: ev.clean_score for name, ev in evaluators.items()}
+    configurations = _configurations()
+    clean_scores = {
+        name: full_route_score(ev, per_sequence=per_sequence)
+        for name, (ev, per_sequence) in configurations.items()
+    }
     assert len(set(clean_scores.values())) == 1, (
         f"engine configurations disagree on clean perplexity: {clean_scores}"
     )
 
-    timings = {name: _time_q13(ev) for name, ev in evaluators.items()}
+    timings = {name: _time_q13(*config) for name, config in configurations.items()}
     base = timings["seed-equivalent"][0]
     rows = [
         [name, trials, f"{seconds:.3f}", f"{base / seconds:.2f}x"]

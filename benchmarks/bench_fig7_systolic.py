@@ -29,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import numpy as np
 
-from _common import RESULTS_DIR, bundle, table
+from _common import RESULTS_DIR, bundle, full_route_score, table
 
 from repro.abft.protectors import ClassicalABFT, StatisticalABFT
 from repro.abft.region import CriticalRegion, theta_mag
@@ -147,7 +147,7 @@ def _one_eval(evaluator, flt, cost) -> float:
     if cost is not None:
         cost.reset()
     start = time.perf_counter()
-    evaluator.run(injector, cost=cost)
+    full_route_score(evaluator, injector, cost=cost)
     return time.perf_counter() - start
 
 
@@ -164,16 +164,14 @@ def _time_eval(evaluator, flt, cost_instrument):
 def _run_overhead():
     """Cost-instrument overhead on a whole-model opt-mini evaluation.
 
-    Measured on the full-forward route (``replay=False``): replay-resumed
-    evals finish in single-digit milliseconds, where timer noise would
-    swamp the per-call accounting being measured. The full route runs the
-    same dispatches per GEMM, so the relative overhead bound transfers.
+    Measured on the engine's full-forward route (no replay session):
+    replay-resumed evals finish in single-digit milliseconds, where timer
+    noise would swamp the per-call accounting being measured. The full
+    route runs the same dispatches per GEMM, so the relative overhead bound
+    transfers.
     """
-    evaluator = ModelEvaluator(
-        bundle("opt-mini"), "perplexity", sizing=EVAL_SIZING, replay=False
-    )
+    evaluator = ModelEvaluator(bundle("opt-mini"), "perplexity", sizing=EVAL_SIZING)
     flt = SiteFilter.everywhere()
-    evaluator.clean_score  # prime baseline + replay traces outside the timing
     cost = CostInstrument(size=256, dataflow=WS)
     _one_eval(evaluator, flt, None)  # warm caches for both routes
     _one_eval(evaluator, flt, cost)

@@ -1,13 +1,16 @@
 """Clean-trace replay engine — per-trial speedup on the Q1.1 layer sweep.
 
 Engineering benchmark (no paper figure): times the Q1.1 layer-wise
-characterization of the 8-layer ``opt-deep`` model twice — ``replay=False``
-(the seed-equivalent full-forward route) vs ``replay=True`` (clean-trace
-replay, DESIGN.md section 7) — and reports the per-layer-cell speedup. A
-trial targeting layer ``k`` resumes its forwards from the layer-``k``
-boundary, so deep-layer cells skip most of the model: the deepest cell must
-gain **>= 3x**. Scores are asserted bit-identical between the two routes,
-so the table is a pure wall-clock comparison of the same measurement.
+characterization of the 8-layer ``opt-deep`` model twice — on the engine's
+full-forward route (no replay session, the seed-equivalent route) vs the
+production route (``q11_layerwise``, clean-trace replay, DESIGN.md section
+7) — and reports the per-layer-cell speedup. A trial targeting layer ``k``
+resumes its forwards from the layer-``k`` boundary, so deep-layer cells
+skip most of the model: the deepest cell must gain **>= 3x** (the full
+route also skips the per-trial plumbing of ``evaluate_trial``, so the ratio
+understates replay's gain). Scores are asserted bit-identical between the
+two routes, so the table is a pure wall-clock comparison of the same
+measurement.
 
 Emits ``benchmarks/results/BENCH_replay.json`` with trials/sec per cell
 (the perf-trajectory datapoint CI uploads as an artifact).
@@ -32,10 +35,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import RESULTS_DIR, bundle, table
+from _common import RESULTS_DIR, bundle, full_route_score, sweep_injector, table
 
 from repro.characterization.evaluator import ModelEvaluator, TaskSizing
 from repro.characterization.questions import q11_layerwise
+from repro.errors.sites import SiteFilter
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE")) or "--smoke" in sys.argv[1:]
 
@@ -46,44 +50,46 @@ ROUNDS = 1 if SMOKE else 3
 MIN_DEEP_SPEEDUP = 3.0
 
 
-def _evaluators():
-    b = bundle(MODEL)
-    full = ModelEvaluator(b, "perplexity", sizing=SIZING, replay=False)
-    replay = ModelEvaluator(b, "perplexity", sizing=SIZING, replay=True)
-    return b, full, replay
+def _full_layer(evaluator, layer: int) -> list[float]:
+    """One Q1.1 layer cell across the BER sweep on the full-forward route."""
+    flt = SiteFilter.only(layers=[layer])
+    return [full_route_score(evaluator, sweep_injector(evaluator, flt, ber)) for ber in BERS]
 
 
-def _time_layer(evaluator, layer: int) -> float:
+def _replay_layer(evaluator, layer: int) -> list[float]:
+    """The same cell through the production (replay) route."""
+    return [r.score for r in q11_layerwise(evaluator, layers=[layer], bers=BERS)]
+
+
+def _time_layer(route, evaluator, layer: int) -> float:
     """Best-of-ROUNDS wall clock for one layer cell across the BER sweep."""
     best = float("inf")
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        q11_layerwise(evaluator, layers=[layer], bers=BERS)
+        route(evaluator, layer)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def _run():
-    b, ev_full, ev_replay = _evaluators()
+    b = bundle(MODEL)
+    evaluator = ModelEvaluator(b, "perplexity", sizing=SIZING)
     layers = list(range(b.config.n_layers))
 
     # Bit-identical scores on every cell is the precondition for comparing
     # wall clocks — assert it before timing anything.
-    assert ev_full.clean_score == ev_replay.clean_score
-    for records_full, records_replay in zip(
-        q11_layerwise(ev_full, layers=layers, bers=BERS),
-        q11_layerwise(ev_replay, layers=layers, bers=BERS),
-    ):
-        assert records_full.score == records_replay.score, (
-            f"replay route diverged on {records_full.label}: "
-            f"{records_full.score} != {records_replay.score}"
+    assert evaluator.clean_score == full_route_score(evaluator)
+    for layer in layers:
+        full, replayed = _full_layer(evaluator, layer), _replay_layer(evaluator, layer)
+        assert full == replayed, (
+            f"replay route diverged on layer{layer}: {full} != {replayed}"
         )
 
     n_trials = len(BERS)
     cells = []
     for layer in layers:
-        full_s = _time_layer(ev_full, layer)
-        replay_s = _time_layer(ev_replay, layer)
+        full_s = _time_layer(_full_layer, evaluator, layer)
+        replay_s = _time_layer(_replay_layer, evaluator, layer)
         cells.append(
             {
                 "layer": layer,

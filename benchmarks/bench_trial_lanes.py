@@ -1,9 +1,9 @@
 """Trial-lane vectorization — trials/sec vs the per-trial replay route.
 
 Engineering benchmark (no paper figure): scores Q1.3-style campaign cells
-of ``opt-mini`` (component O, prefill, fixed BER, K seeds) two ways — the
-per-trial route (one replay-resumed forward per trial, the PR-3/PR-4
-execution model) vs the lane-packed route (all K trials as K batch lanes
+of ``opt-mini`` (component O, prefill, fixed BER, K seeds) two ways — one
+trial at a time (``evaluate_trial``: a one-lane pack, one replay-resumed
+forward per trial) vs the lane-packed route (all K trials as K batch lanes
 of one replayed forward, DESIGN.md section 9) — and reports trials/sec.
 Results are asserted **bit-identical** between the routes before anything
 is timed, so the table is a pure wall-clock comparison of the same
@@ -216,7 +216,7 @@ class _RecordingBackend:
 
 
 def _harvest_gemm_workload(sizing: TaskSizing, lanes: int) -> list[tuple]:
-    evaluator = ModelEvaluator(bundle(MODEL), "perplexity", sizing=sizing, replay=True)
+    evaluator = ModelEvaluator(bundle(MODEL), "perplexity", sizing=sizing)
     trials = _cell_trials(lanes)
     evaluator.clean_score
     executor = evaluator.model.executor
@@ -288,7 +288,7 @@ def _measure_backend_speedup(sizing: TaskSizing, lanes: int) -> dict:
 
 
 def _measure_cell(label: str, sizing: TaskSizing, lanes: int) -> dict:
-    evaluator = ModelEvaluator(bundle(MODEL), "perplexity", sizing=sizing, replay=True)
+    evaluator = ModelEvaluator(bundle(MODEL), "perplexity", sizing=sizing)
     trials = _cell_trials(lanes)
 
     # Bit-identical results on every lane is the precondition for comparing

@@ -1,7 +1,7 @@
 """Algorithm-based fault tolerance (paper Sec. II-C and Sec. V).
 
-Contains checksum mathematics (classical two-sided and lightweight one-sided
-schemes), the paper's statistical ABFT decision rule with its critical-region
+Contains the one-sided checksum mathematics the paper's architecture uses for
+detection, the paper's statistical ABFT decision rule with its critical-region
 parameterization, and the baseline detectors it is compared against
 (classical ABFT, ApproxABFT, DMR, ThunderVolt).
 """
@@ -11,7 +11,6 @@ from repro.abft.checksums import (
     column_checksum,
     input_checksum,
     checksum_report,
-    two_sided_checksums,
 )
 from repro.abft.region import CriticalRegion, fit_critical_region, theta_mag
 from repro.abft.protectors import (
@@ -30,7 +29,6 @@ __all__ = [
     "column_checksum",
     "input_checksum",
     "checksum_report",
-    "two_sided_checksums",
     "CriticalRegion",
     "fit_critical_region",
     "theta_mag",

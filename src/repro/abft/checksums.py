@@ -45,24 +45,6 @@ def column_checksum(y: np.ndarray) -> np.ndarray:
     return wrap_int32(np.asarray(y, dtype=np.int64).sum(axis=-2))
 
 
-def two_sided_checksums(
-    a_q: np.ndarray, b_q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical ABFT augmentation: returns (``e^T A B``, ``A B e``).
-
-    The two-sided scheme can *locate* errors (row x column intersection) at
-    the cost of both a checksum row and a checksum column; the lightweight
-    schemes in this repo use only the column side for detection, as the
-    paper's architecture does.
-    """
-    row_side = input_checksum(a_q, b_q)
-    row_sums = wrap_int32(b_q.astype(np.int64).sum(axis=-1))
-    col_side = wrap_int32(
-        np.einsum("...mk,...k->...m", a_q.astype(np.int64), row_sums)
-    )
-    return row_side, col_side
-
-
 def _signed_wrap_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Difference of two int32-valued arrays, wrapped back into int32 range.
 

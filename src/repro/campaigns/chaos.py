@@ -195,7 +195,7 @@ def active() -> Optional[ChaosSpec]:
 
 # ----------------------------------------------------------------------- hooks
 def maybe_fail_trial(key: str, attempt: int) -> None:
-    """Per-trial fault point (both the solo and the lane-packed route).
+    """Per-trial fault point, checked for every lane of a pack before it runs.
 
     ``trial_exceptions`` raises only on the trial's first attempt — the
     model of a transient fault the retry machinery must absorb.

@@ -1,9 +1,10 @@
 """Campaign executors: serial and supervised-pool trial runners.
 
-The single-trial primitive :func:`evaluate_trial` is shared by everything
-that scores an injected configuration — the characterization sweeps, the
-benchmarks, and both campaign executors — so a trial means exactly the same
-measurement everywhere.
+Every trial is scored by one route, the lane-packed
+:func:`~repro.campaigns.lanes.evaluate_lane_pack`. Campaigns submit packs
+of up to ``lane_width`` trials; :func:`evaluate_trial` — used by the
+characterization sweeps, ReaLM calibration and the benchmarks — is a
+one-lane pack, so a trial means exactly the same measurement everywhere.
 
 The parallel route runs on a :class:`~repro.campaigns.supervise.SupervisedPool`
 rather than a raw :class:`multiprocessing.Pool`: every lane pack is a lease
@@ -38,11 +39,7 @@ from repro.campaigns.chaos import ChaosSpec
 from repro.campaigns.lanes import (
     DEFAULT_MAX_LANES,
     LanePacker,
-    _count_trial_stats,
-    build_injector,
-    build_protector,
     evaluate_lane_pack,
-    trial_costs as _trial_costs,
 )
 from repro.campaigns.progress import build_snapshot
 from repro.campaigns.spec import NO_METHOD, CampaignSpec, Trial
@@ -58,7 +55,6 @@ import repro.telemetry as telemetry
 from repro.characterization.evaluator import ModelEvaluator
 from repro.core.methods import METHODS
 from repro.core.realm import ReaLMConfig, ReaLMPipeline
-from repro.dispatch.backends import use_backend
 from repro.dispatch.cost import CostSpec
 from repro.training.zoo import get_pretrained
 from repro.utils.logging import get_logger
@@ -81,7 +77,7 @@ def evaluate_trial(
     backend: Optional[str] = None,
     attempt: int = 0,
 ) -> TrialResult:
-    """Score one trial on an already-built evaluator.
+    """Score one trial on an already-built evaluator, as a one-lane pack.
 
     ``pipeline`` is only consulted for behavioral protection methods that
     need calibrated critical regions (statistical/approx ABFT). ``cost``
@@ -92,49 +88,13 @@ def evaluate_trial(
     nominal when the grid has no voltage axis). ``backend`` selects the
     GEMM backend for the duration (``CampaignSpec.backend``, DESIGN.md
     section 11); an unavailable one degrades to the exact default with a
-    WARNING, and the result records what actually ran.
-
-    This is the per-trial reference route the lane-packed executor
-    (:mod:`repro.campaigns.lanes`) is asserted bit-identical against.
-    ``attempt`` is the supervisor's retry counter (0 on first execution) —
-    it only feeds the chaos harness's per-trial fault point, never the
-    measurement.
+    WARNING, and the result records what actually ran. ``attempt`` is the
+    supervisor's retry counter (0 on first execution) — it only feeds the
+    chaos harness's per-trial fault point, never the measurement.
     """
-    chaos_mod.maybe_fail_trial(trial.key, attempt)
-    start = time.perf_counter()
-    injector = build_injector(trial)
-    cost_instrument = cost.build() if cost is not None else None
-    protector = build_protector(trial, evaluator, pipeline)
-
-    with use_backend(evaluator.model.executor, backend) as active:
-        with telemetry.span("trial.evaluate", cell=trial.cell_label, seed=trial.seed):
-            score = evaluator.run(injector, protector, cost=cost_instrument)
-        if trial.method not in (NO_METHOD,) and METHODS[trial.method].exact_correction:
-            score = evaluator.clean_score  # detected-and-replayed: fault-free output
-        clean_score = evaluator.clean_score
-    cycles = recovered_macs = 0
-    energy_j = 0.0
-    if cost_instrument is not None:
-        cycles, recovered_macs, energy_j = _trial_costs(
-            trial, cost_instrument, injector, evaluator
-        )
-    elapsed = time.perf_counter() - start
-    metrics = telemetry.METRICS
-    _count_trial_stats(metrics, injector, protector)
-    metrics.histogram("trial.elapsed_s").observe(elapsed)
-    return TrialResult(
-        score=score,
-        degradation=evaluator.degradation(score),
-        clean_score=clean_score,
-        injected_errors=injector.stats.injected_errors if injector else 0,
-        gemm_calls=injector.stats.gemm_calls if injector else 0,
-        cycles=cycles,
-        recovered_macs=recovered_macs,
-        energy_j=energy_j,
-        elapsed_s=elapsed,
-        worker=os.getpid(),
-        backend=active.name,
-    )
+    return evaluate_lane_pack(
+        [trial], evaluator, pipeline, cost=cost, backend=backend, attempts=[attempt]
+    )[0]
 
 
 # --------------------------------------------------------------- worker side
@@ -168,43 +128,6 @@ def _trial_context(trial: Trial) -> tuple[ModelEvaluator, Optional[ReaLMPipeline
     return evaluator, None
 
 
-def _run_trial_payload(payload: dict) -> dict:
-    """Pool entry point: trial dict in, (key, result | error) dict out.
-
-    The optional ``"cost"`` key carries the campaign-level
-    :class:`~repro.dispatch.cost.CostSpec`; it is popped before the trial
-    is parsed so it never leaks into trial identity or stored records.
-    The optional ``"gemm_backend"`` key carries the campaign-level
-    backend selection (``CampaignSpec.backend``) the same way — an
-    execution setting, never part of the trial key. ``"attempt"`` is the
-    supervisor's retry counter for this trial, consumed by the chaos
-    harness; ``"chaos"`` activates a
-    :class:`~repro.campaigns.chaos.ChaosSpec` in this process.
-    """
-    cost_payload = payload.pop("cost", None)
-    cost = CostSpec.from_dict(cost_payload) if cost_payload is not None else None
-    backend = payload.pop("gemm_backend", None)
-    chaos_payload = payload.pop("chaos", None)
-    if chaos_payload is not None:
-        chaos_mod.install(ChaosSpec.from_dict(chaos_payload))
-    attempt = payload.pop("attempt", 0)
-    trial = Trial.from_dict(payload)
-    try:
-        evaluator, pipeline = _trial_context(trial)
-        result = evaluate_trial(
-            trial, evaluator, pipeline, cost=cost, backend=backend,
-            attempt=attempt,
-        )
-        return {"key": trial.key, "trial": payload, "result": result.to_dict()}
-    except Exception as exc:  # surfaced to the parent, which keeps going
-        return {
-            "key": trial.key,
-            "trial": payload,
-            "error": repr(exc),
-            "worker": os.getpid(),
-        }
-
-
 def _ship_telemetry(outcomes: list[dict]) -> list[dict]:
     """Piggyback this worker's telemetry on the pack's last outcome dict.
 
@@ -226,16 +149,25 @@ def _ship_telemetry(outcomes: list[dict]) -> list[dict]:
 def _run_pack_payload(payload: dict) -> list[dict]:
     """Pool entry point for a lane pack: trial dicts in, outcome dicts out.
 
-    Single-lane packs route straight through the per-trial reference path.
-    A multi-lane pack that fails for any reason degrades to per-trial
-    execution instead of failing all its lanes at once — the lane
-    vectorization is a pure throughput optimization, never a correctness
-    dependency. Degraded outcomes carry ``"degraded": True`` and bump the
-    ``lanes.pack_degradations`` counter so a campaign that quietly lost its
-    vectorization shows up in ``campaign watch`` / ``status --metrics``.
+    The optional ``"cost"`` key carries the campaign-level
+    :class:`~repro.dispatch.cost.CostSpec` and ``"gemm_backend"`` the
+    campaign-level backend selection (``CampaignSpec.backend``) — execution
+    settings, never part of a trial key. Each trial dict's ``"attempt"`` is
+    the supervisor's retry counter, consumed by the chaos harness;
+    ``"chaos"`` activates a :class:`~repro.campaigns.chaos.ChaosSpec` in
+    this process.
+
+    A trial that raises becomes an error outcome. A multi-lane pack that
+    fails for any reason degrades to one-lane packs instead of failing all
+    its lanes at once — the lane vectorization is a pure throughput
+    optimization, never a correctness dependency. Degraded outcomes carry
+    ``"degraded": True`` and bump the ``lanes.pack_degradations`` counter so
+    a campaign that quietly lost its vectorization shows up in ``campaign
+    watch`` / ``status --metrics``.
     """
     trial_payloads = payload["trials"]
     cost_payload = payload.get("cost")
+    cost = CostSpec.from_dict(cost_payload) if cost_payload is not None else None
     backend = payload.get("gemm_backend")
     chaos_payload = payload.get("chaos")
     if chaos_payload is not None:
@@ -254,43 +186,48 @@ def _run_pack_payload(payload: dict) -> list[dict]:
     chaos_mod.maybe_kill_worker(trials[0].key, pack_attempt)
     chaos_mod.maybe_hang(trials[0].key, pack_attempt)
 
-    def solo(trial_payload: dict) -> dict:
-        single = dict(trial_payload)
-        if cost_payload is not None:
-            single["cost"] = cost_payload
-        if backend is not None:
-            single["gemm_backend"] = backend
-        return _run_trial_payload(single)
-
-    if len(trial_payloads) == 1:
-        return _ship_telemetry([solo(trial_payloads[0])])
-    cost = CostSpec.from_dict(cost_payload) if cost_payload is not None else None
-    try:
-        evaluator, pipeline = _trial_context(trials[0])
+    def score(lanes: slice) -> list[dict]:
+        evaluator, pipeline = _trial_context(trials[lanes][0])
         results = evaluate_lane_pack(
-            trials, evaluator, pipeline, cost=cost, backend=backend,
-            attempts=attempts,
+            trials[lanes], evaluator, pipeline, cost=cost, backend=backend,
+            attempts=attempts[lanes],
         )
-        return _ship_telemetry(
-            [
-                {"key": trial.key, "trial": trial_payload, "result": result.to_dict()}
-                for trial, trial_payload, result in zip(
-                    trials, clean_payloads, results
-                )
-            ]
-        )
+        return [
+            {"key": trial.key, "trial": trial_payload, "result": result.to_dict()}
+            for trial, trial_payload, result in zip(
+                trials[lanes], clean_payloads[lanes], results
+            )
+        ]
+
+    def error(j: int, exc: Exception) -> dict:  # surfaced to the parent
+        return {
+            "key": trials[j].key,
+            "trial": clean_payloads[j],
+            "error": repr(exc),
+            "worker": os.getpid(),
+        }
+
+    try:
+        return _ship_telemetry(score(slice(None)))
     except Exception as exc:
+        if len(trials) == 1:
+            return _ship_telemetry([error(0, exc)])
         telemetry.METRICS.counter("lanes.pack_degradations").inc()
         logger.warning(
-            "lane pack of %d trials (%s) degraded to per-trial execution",
+            "lane pack of %d trials (%s) degraded to one-lane packs",
             len(trials),
             trials[0].cell_label,
             exc_info=exc,
         )
-        outcomes = [solo(p) for p in trial_payloads]
-        for outcome in outcomes:
-            outcome["degraded"] = True
-        return _ship_telemetry(outcomes)
+    outcomes = []
+    for j in range(len(trials)):
+        try:
+            outcome = score(slice(j, j + 1))[0]
+        except Exception as exc:
+            outcome = error(j, exc)
+        outcome["degraded"] = True
+        outcomes.append(outcome)
+    return _ship_telemetry(outcomes)
 
 
 # --------------------------------------------------------------- parent side
@@ -415,18 +352,10 @@ def _build_shared_packs(needed: dict[str, set[str]]):
     try:
         for model in sorted(needed):
             bundle = get_pretrained(model)
-            recorded = False
             for task in sorted(needed[model]):
-                evaluator = ModelEvaluator(bundle, task)
-                if evaluator.replay:
-                    evaluator.clean_score  # records this cell's clean traces
-                    recorded = True
+                ModelEvaluator(bundle, task).clean_score  # records clean traces
             fingerprint = _bundle_fingerprint(bundle)
-            traces = (
-                {k: t for k, t in TRACES.items() if k.startswith(fingerprint)}
-                if recorded
-                else None
-            )
+            traces = {k: t for k, t in TRACES.items() if k.startswith(fingerprint)}
             packs.append(
                 publish_bundle(fingerprint, quantized_model_for(bundle), traces)
             )
@@ -506,7 +435,7 @@ def run_campaign(
     ``lane_width`` caps how many trials pack into one batched forward
     (DESIGN.md section 9); results are bit-identical at any width, so the
     knob only trades activation memory against per-dispatch overhead.
-    ``lane_width=1`` restores strictly per-trial execution.
+    ``lane_width=1`` submits one-lane packs.
 
     ``supervise`` overrides the spec's :class:`SuperviseConfig` (both a
     measurement setting, never trial identity). A trial whose own execution

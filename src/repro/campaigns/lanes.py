@@ -19,11 +19,14 @@ setup across fault targets:
   :class:`~repro.dispatch.cost.LaneCostInstrument`), and scores the whole
   pack through one ``ModelEvaluator.run(..., lanes=K)`` call.
 
-The contract (asserted exactly in ``tests/test_lanes.py``): every lane's
-score, injector RNG stream, protector statistics, and cost columns are
-**bit-identical** to running that trial alone through the per-trial
-dispatch route. See DESIGN.md section 9 for the packing rules and the
-per-lane RNG discipline.
+This is the only route that scores a trial: a single trial
+(``repro.campaigns.executor.evaluate_trial``, calibration sweeps, the
+degraded fallback of a failed pack) is a one-lane pack. The contract
+(asserted exactly in ``tests/test_lanes.py``): every lane's score, injector
+RNG stream, protector statistics, and cost columns are **bit-identical** to
+scoring that trial alone with plain instruments on the full-forward route
+(``tests/oracle.py``). See DESIGN.md section 9 for the packing rules and
+the per-lane RNG discipline.
 """
 
 from __future__ import annotations
@@ -49,20 +52,6 @@ from repro.training.zoo import model_config
 
 _VOLTAGE_MODEL = VoltageBerModel()
 
-
-def _count_trial_stats(metrics, injector, protector) -> None:
-    """Fold one finished trial's injector/protector tallies into ``metrics``.
-
-    Shared by the solo route (``executor.evaluate_trial``) and the per-lane
-    accounting here so ``campaign watch`` reads the same counters either way.
-    """
-    if injector is not None:
-        metrics.counter("injector.corruptions").inc(injector.stats.injected_errors)
-    if protector is not None:
-        stats = protector.stats
-        metrics.counter("protector.inspected").inc(stats.inspected)
-        metrics.counter("protector.detected").inc(stats.detected)
-        metrics.counter("protector.recovered").inc(stats.recovered)
 
 #: Default pack width: enough lanes to amortize per-dispatch overhead
 #: without blowing up activation memory (a pack's working set scales
@@ -218,7 +207,8 @@ def prepare_lanes(
     Returns ``(injectors, protectors, costs, packed)`` where ``packed`` is
     the ``(injector, protector, cost)`` triple to attach for the packed
     run. Split out from :func:`evaluate_lane_pack` so tests can assert the
-    per-lane statistics directly against solo runs.
+    per-lane statistics directly against solo runs, and so ``repro trace
+    export`` can read the lane's cost report.
     """
     if not trials:
         raise ValueError("a lane pack needs at least one trial")
@@ -246,17 +236,17 @@ def evaluate_lane_pack(
     """Score a pack of trials as lanes of one batched forward.
 
     Every returned :class:`TrialResult`'s score, degradation, injector
-    statistics, and cost columns are bit-identical to
-    ``repro.campaigns.executor.evaluate_trial`` on the same trial;
-    ``elapsed_s`` attributes the pack's wall clock evenly across lanes
-    (telemetry, not part of the bit-exactness contract). ``backend``
-    selects the GEMM backend for the whole pack; ``None`` keeps the
-    executor's current one.
+    statistics, and cost columns are bit-identical to scoring that trial
+    alone, whatever the pack width; ``elapsed_s`` attributes the pack's
+    wall clock evenly across lanes (telemetry, not part of the
+    bit-exactness contract), and the ``trial.elapsed_s`` histogram gets
+    that share once per lane. ``backend`` selects the GEMM backend for the
+    whole pack; ``None`` keeps the executor's current one.
 
     ``attempts`` carries the supervisor's per-trial retry counters into
     the chaos harness's per-trial fault point — a lane whose trial is
-    chaos-marked raises here, which degrades the whole pack to per-trial
-    execution, exactly the path a real mid-pack failure takes.
+    chaos-marked raises here, which degrades the whole pack to one-lane
+    packs, exactly the path a real mid-pack failure takes.
     """
     from repro.campaigns import chaos
 
@@ -280,12 +270,17 @@ def evaluate_lane_pack(
     metrics = telemetry.METRICS
     metrics.counter("lanes.packs").inc()
     metrics.counter("lanes.packed_trials").inc(len(trials))
-    metrics.histogram("trial.elapsed_s").observe(elapsed * len(trials))
     for injector, protector in zip(injectors, protectors):
-        _count_trial_stats(metrics, injector, protector)
+        metrics.histogram("trial.elapsed_s").observe(elapsed)
+        if injector is not None:
+            metrics.counter("injector.corruptions").inc(injector.stats.injected_errors)
+        if protector is not None:
+            metrics.counter("protector.inspected").inc(protector.stats.inspected)
+            metrics.counter("protector.detected").inc(protector.stats.detected)
+            metrics.counter("protector.recovered").inc(protector.stats.recovered)
     results = []
     for j, trial in enumerate(trials):
-        score = float(scores[j]) if len(trials) > 1 else float(scores)
+        score = float(scores[j])
         if trial.method not in (NO_METHOD,) and METHODS[trial.method].exact_correction:
             score = evaluator.clean_score  # detected-and-replayed: fault-free
         injector = injectors[j]

@@ -5,12 +5,17 @@ exposes ``score()`` (run the task under whatever injector/protector is
 attached) and ``degradation(score)`` (signed degradation vs. the fault-free
 baseline, oriented so that *larger is worse* for every task: perplexity
 increase, or accuracy/ROUGE drop).
+
+Every score takes one route: the engine's batched path under a clean-trace
+replay session, tiled across ``lanes`` trial lanes (one lane when the
+caller passes none). The reference routes it is asserted bit-identical
+against — the full forward with no replay session and, fault-free, the
+per-sequence loop — live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,28 +143,18 @@ def register_quantized_model(fingerprint: str, model: QuantizedTransformerLM) ->
     _QUANT_MODEL_CACHE[fingerprint] = model
 
 
-def _replay_default() -> bool:
-    """Replay defaults on; ``REPRO_NO_REPLAY=1`` restores the seed route
-    (``0``/``false``/empty count as unset, not as "disable replay")."""
-    return os.environ.get("REPRO_NO_REPLAY", "").strip().lower() in ("", "0", "false")
-
-
 class ModelEvaluator:
     """One (model, task) pair with attach-and-score plumbing.
 
-    ``batched=True`` (default) scores the task through the engine's batched
-    path — all sequences/prompts/choices of the task in single forwards and
-    lock-step generations. ``batched=False`` keeps the per-sequence loop
-    (benchmark baseline); fault-free scores are bit-identical either way.
-    ``reuse_model=True`` shares one calibrated engine per bundle across all
-    evaluators in the process (see :func:`quantized_model_for`).
-
-    ``replay=True`` (default; ``REPRO_NO_REPLAY=1`` flips the default)
-    scores through the clean-trace replay engine: the fault-free forward
-    per (task, length-group) is recorded once and every injected trial
-    resumes from the earliest layer its filter can touch — bit-identical
-    scores and statistics, a fraction of the work (DESIGN.md section 7).
-    ``replay=False`` preserves the seed-equivalent full-forward route.
+    Scoring runs the task through the engine's batched path — all
+    sequences/prompts/choices of the task in single forwards and lock-step
+    generations — under a clean-trace replay session: the fault-free
+    forward per (task, length-group) is recorded once and every injected
+    trial resumes from the earliest layer its filter can touch —
+    bit-identical scores and statistics, a fraction of the work (DESIGN.md
+    section 7). ``reuse_model=True`` shares one calibrated engine per
+    bundle across all evaluators in the process (see
+    :func:`quantized_model_for`).
     """
 
     def __init__(
@@ -167,79 +162,63 @@ class ModelEvaluator:
         bundle: PretrainedBundle,
         task: str = "perplexity",
         sizing: Optional[TaskSizing] = None,
-        batched: bool = True,
         reuse_model: bool = True,
-        replay: Optional[bool] = None,
     ) -> None:
         if task not in TASKS:
             raise KeyError(f"unknown task {task!r}; available: {sorted(TASKS)}")
         self.bundle = bundle
         self.task = task
         self.sizing = sizing or TaskSizing()
-        self.batched = batched
-        self.replay = _replay_default() if replay is None else replay
-        self._replay_session = (
-            ReplaySession(_bundle_fingerprint(bundle)) if self.replay else None
-        )
+        self._replay_session = ReplaySession(_bundle_fingerprint(bundle))
         self.model = quantized_model_for(bundle, reuse=reuse_model)
         self.higher_is_better = TASKS[task]
         s = self.sizing
         source = bundle.source
         if task == "perplexity":
-            self._data = build_lm_data(source, s.lm_sequences, s.lm_seq_len)
+            self.data = build_lm_data(source, s.lm_sequences, s.lm_seq_len)
         elif task == "lambada":
-            self._data = build_lambada_like(source, s.lambada_examples, s.lambada_context)
+            self.data = build_lambada_like(source, s.lambada_examples, s.lambada_context)
         elif task == "xsum":
-            self._data = build_xsum_like(
+            self.data = build_xsum_like(
                 source, s.xsum_prompts, s.xsum_prompt_len, s.xsum_gen_len
             )
         elif task == "gsm8k":
-            self._data = build_gsm8k_like(
+            self.data = build_gsm8k_like(
                 source, s.gsm8k_prompts, s.gsm8k_prompt_len, s.gsm8k_gen_len
             )
         else:
-            self._data = build_hellaswag_like(
+            self.data = build_hellaswag_like(
                 source, s.hellaswag_examples, s.hellaswag_context, s.hellaswag_cont
             )
-        self._harness = (
-            EvalHarness(self.model, batched=batched)
-            if task in ("xsum", "gsm8k")
-            else None
-        )
+        self._harness = EvalHarness(self.model) if task in ("xsum", "gsm8k") else None
         self._clean_score: Optional[float] = None
 
     # ------------------------------------------------------------- scoring
-    def score(self, lanes: int = 1):
+    def score(self, lanes: Optional[int] = None):
         """Run the task with whatever injector/protector is attached.
 
-        Scoring is scoped inside this evaluator's replay session (if any):
-        the clean pass records traces, injected passes resume from them.
-        ``lanes > 1`` scores a lane-packed batch of K trials in one pass
-        (DESIGN.md section 9) and returns one score per lane; the attached
-        instruments must then be the lane-aware wrappers.
+        Scoring is scoped inside this evaluator's replay session: the clean
+        pass records traces, injected passes resume from them. ``lanes=K``
+        scores a lane-packed batch of K trials in one pass (DESIGN.md
+        section 9) and returns one score per lane; the attached instruments
+        must then be the lane-aware wrappers. Without ``lanes`` the result
+        is the single lane's score.
         """
         with self.model.replay_into(self._replay_session):
-            if lanes == 1:
-                return self._score_task()
-            with self.model.lanes(lanes):
-                return self._score_task(lanes=lanes)
+            with self.model.lanes(1 if lanes is None else lanes):
+                return self.score_task(lanes)
 
-    def _score_task(self, lanes: int = 1):
+    def score_task(self, lanes: Optional[int] = None):
+        """Score the task on the engine's current replay/lane scope."""
         if self.task == "perplexity":
-            return evaluate_perplexity(
-                self.model, self._data, batched=self.batched, lanes=lanes
-            )
+            return evaluate_perplexity(self.model, self.data, lanes=lanes)
         if self.task == "lambada":
-            return evaluate_last_token_accuracy(
-                self.model, self._data, batched=self.batched, lanes=lanes
-            )
+            return evaluate_last_token_accuracy(self.model, self.data, lanes=lanes)
         if self.task == "xsum":
-            return self._harness.summarization_score(self.model, self._data, lanes=lanes)
+            return self._harness.summarization_score(self.model, self.data, lanes=lanes)
         if self.task == "gsm8k":
-            return self._harness.arithmetic_score(self.model, self._data, lanes=lanes)
-        return evaluate_multiple_choice(
-            self.model, self._data, batched=self.batched, lanes=lanes
-        )
+            return self._harness.arithmetic_score(self.model, self.data, lanes=lanes)
+        return evaluate_multiple_choice(self.model, self.data, lanes=lanes)
 
     @property
     def clean_score(self) -> float:
@@ -282,8 +261,8 @@ class ModelEvaluator:
         (:class:`~repro.errors.injector.LaneInjector`,
         :class:`~repro.abft.protectors.LaneProtector`,
         :class:`~repro.dispatch.cost.LaneCostInstrument`) and the return
-        value is one score per lane, each bit-identical to running that
-        lane's trial alone.
+        value is one score per lane, each bit-identical to scoring that
+        lane's trial alone on the full-forward route.
         """
         baseline = self.clean_score  # ensure cached before attaching  # noqa: F841
         executor = self.model.executor
@@ -299,7 +278,7 @@ class ModelEvaluator:
             with telemetry.span(
                 "eval.run", task=self.task, lanes=1 if lanes is None else lanes
             ):
-                return self.score(lanes=1 if lanes is None else lanes)
+                return self.score(lanes)
         finally:
             self.model.attach(None, None)
             executor.cost = saved_cost

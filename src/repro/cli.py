@@ -608,7 +608,7 @@ def cmd_trace_export(args: argparse.Namespace) -> str:
     wall time with the cost model's tiles/cycles/MACs (DESIGN.md section
     10). Load the file in chrome://tracing or https://ui.perfetto.dev.
     """
-    from repro.campaigns.lanes import build_injector, build_protector
+    from repro.campaigns.lanes import prepare_lanes
     from repro.dispatch.cost import CostSpec
 
     telemetry.enable()
@@ -620,12 +620,10 @@ def cmd_trace_export(args: argparse.Namespace) -> str:
         seed=args.seed,
     )
     evaluator = ModelEvaluator(get_pretrained(args.model), args.task)
-    cost_instrument = CostSpec().build()
-    injector = build_injector(trial)
-    protector = build_protector(trial, evaluator, None)
+    _, _, costs, packed = prepare_lanes([trial], evaluator, cost=CostSpec())
     telemetry.gemm_trace().reset()
-    score = evaluator.run(injector, protector, cost=cost_instrument)
-    rows = telemetry.gemm_trace().rows(cost_instrument.report)
+    score = float(evaluator.run(*packed, lanes=1)[0])
+    rows = telemetry.gemm_trace().rows(costs[0].report)
     payload = telemetry.export_trace(
         args.out,
         extra={
@@ -710,8 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (0 = serial in-process)")
     c.add_argument("--lanes", type=int, default=None,
                    help="max trials packed into one batched forward "
-                        "(default: the library's lane width; 1 = per-trial "
-                        "execution; results are bit-identical)")
+                        "(default: the library's lane width; 1 = one-lane "
+                        "packs; results are bit-identical)")
     c.add_argument("--store", default=None,
                    help="result-store directory (default: cache dir by name)")
     c.add_argument("--backend", default=None,

@@ -3,27 +3,27 @@
 All evaluation functions feed the engine whole batches: sequences, prompts
 and (example, choice) rows of a task are grouped by length and scored in
 single batched forwards / lock-step generations instead of Python loops —
-the tight loop the batched engine exists for. ``batched=False`` keeps the
-per-sequence path available (benchmark baseline and debugging); both paths
-produce bit-identical fault-free scores.
+the tight loop the batched engine exists for. The per-sequence loop that
+the batched path is asserted bit-identical against lives in
+``tests/oracle.py``.
 
 The generation tasks (summarization / arithmetic) follow the paper's
 degradation protocol: the *reference* output is produced once by the
 fault-free model, cached by :class:`EvalHarness`, and every injected
 configuration is scored against it.
 
-Every batched evaluation additionally accepts ``lanes=K`` (DESIGN.md
-section 9): the task's batches are tiled K times along the batch axis — one
-lane per packed trial — and scored in single lane-packed forwards, returning
-one score per lane. Per-lane scores are assembled through exactly the same
-Python arithmetic as the solo path (same float conversions, same ordering),
-so a lane's score is bit-identical to scoring its trial alone.
+Every evaluation accepts ``lanes=K`` (DESIGN.md section 9): the task's
+batches are tiled K times along the batch axis — one lane per packed trial
+— and scored in single lane-packed forwards, returning one score per lane.
+Every call runs that one per-lane path; a caller that passes no ``lanes``
+scores a single lane and gets lane 0's score as a float.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -39,105 +39,72 @@ from repro.models.quantized import QuantizedTransformerLM, batch_groups
 from repro.telemetry.spans import span as _span
 
 
-def _require_batched_lanes(batched: bool, lanes: int) -> None:
-    if lanes < 1:
+def _lane_count(lanes: Optional[int]) -> int:
+    if lanes is not None and lanes < 1:
         raise ValueError("lane count must be >= 1")
-    if lanes > 1 and not batched:
-        raise ValueError("lane-packed scoring requires the batched path")
+    return 1 if lanes is None else lanes
+
+
+def _by_lane(scores: list[float], lanes: Optional[int]) -> float | np.ndarray:
+    """Lane 0's score for a lane-less call, else one score per lane."""
+    return scores[0] if lanes is None else np.array(scores)
 
 
 def evaluate_perplexity(
     model: QuantizedTransformerLM,
     data: LanguageModelingData,
-    batched: bool = True,
-    lanes: int = 1,
+    lanes: Optional[int] = None,
 ) -> float | np.ndarray:
-    """Corpus perplexity (paper's WikiText-2 metric, lower is better).
-
-    ``lanes > 1`` scores K packed trial lanes at once and returns one
-    perplexity per lane (shape ``(lanes,)``).
-    """
-    _require_batched_lanes(batched, lanes)
-    if not batched:
-        nlls = [model.sequence_nll(seq) for seq in data.sequences]
-        return perplexity_from_nll(nlls)
-    per_lane = [[0.0] * len(data.sequences) for _ in range(lanes)]
+    """Corpus perplexity (paper's WikiText-2 metric, lower is better)."""
+    k = _lane_count(lanes)
+    per_lane = [[0.0] * len(data.sequences) for _ in range(k)]
     for idxs, batch in batch_groups(data.sequences):
-        stacked = model.sequence_nll_batch(
-            np.tile(batch, (lanes, 1)) if lanes > 1 else batch
-        ).reshape(lanes, len(idxs))
-        for j in range(lanes):
+        stacked = model.sequence_nll_batch(np.tile(batch, (k, 1))).reshape(k, len(idxs))
+        for j in range(k):
             for i, nll in zip(idxs, stacked[j]):
                 per_lane[j][i] = float(nll)
-    if lanes == 1:
-        return perplexity_from_nll(per_lane[0])
-    return np.array([perplexity_from_nll(row) for row in per_lane])
+    return _by_lane([perplexity_from_nll(row) for row in per_lane], lanes)
 
 
 def evaluate_last_token_accuracy(
     model: QuantizedTransformerLM,
     task: LastTokenTask,
-    batched: bool = True,
-    lanes: int = 1,
+    lanes: Optional[int] = None,
 ) -> float | np.ndarray:
     """LAMBADA-style final-token accuracy in percent (higher is better)."""
-    _require_batched_lanes(batched, lanes)
+    k = _lane_count(lanes)
     targets = np.asarray(task.targets)
-    if not batched:
-        correct = 0
-        for context, target in zip(task.contexts, task.targets):
-            logits = model.forward_full(context)
-            if int(np.argmax(logits[-1])) == int(target):
-                correct += 1
-        return 100.0 * correct / len(task.contexts)
-    correct_by_lane = [0] * lanes
+    correct_by_lane = [0] * k
     for idxs, batch in batch_groups(task.contexts):
-        logits = model.forward_full(
-            np.tile(batch, (lanes, 1)) if lanes > 1 else batch
-        )
-        preds = np.argmax(logits[:, -1, :], axis=-1).reshape(lanes, len(idxs))
-        for j in range(lanes):
+        logits = model.forward_full(np.tile(batch, (k, 1)))
+        preds = np.argmax(logits[:, -1, :], axis=-1).reshape(k, len(idxs))
+        for j in range(k):
             correct_by_lane[j] += int(np.sum(preds[j] == targets[np.asarray(idxs)]))
-    if lanes == 1:
-        return 100.0 * correct_by_lane[0] / len(task.contexts)
-    return np.array([100.0 * c / len(task.contexts) for c in correct_by_lane])
+    return _by_lane([100.0 * c / len(task.contexts) for c in correct_by_lane], lanes)
 
 
 def evaluate_multiple_choice(
     model: QuantizedTransformerLM,
     task: MultipleChoiceTask,
-    batched: bool = True,
-    lanes: int = 1,
+    lanes: Optional[int] = None,
 ) -> float | np.ndarray:
     """HellaSwag-style accuracy by per-choice log-likelihood, in percent."""
-    _require_batched_lanes(batched, lanes)
-    if not batched:
-        correct = 0
-        for context, choices, label in zip(task.contexts, task.choices, task.labels):
-            scores = [model.choice_logprob(context, cont) for cont in choices]
-            if int(np.argmax(scores)) == int(label):
-                correct += 1
-        return 100.0 * correct / len(task.contexts)
+    k = _lane_count(lanes)
     # Flatten every (example, choice) pair into one row set, batch rows of
     # equal (context, continuation) shape, then regroup scores per example.
     rows: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for ei, (context, choices) in enumerate(zip(task.contexts, task.choices)):
         for ci, cont in enumerate(choices):
             rows.append((ei, ci, np.asarray(context), np.asarray(cont)))
-    scores: list[dict[tuple[int, int], float]] = [{} for _ in range(lanes)]
+    scores: list[dict[tuple[int, int], float]] = [{} for _ in range(k)]
     by_shape: dict[tuple[int, int], list[int]] = {}
     for ri, (_, _, context, cont) in enumerate(rows):
         by_shape.setdefault((context.shape[0], cont.shape[0]), []).append(ri)
     for row_idxs in by_shape.values():
-        contexts = np.stack([rows[ri][2] for ri in row_idxs])
-        conts = np.stack([rows[ri][3] for ri in row_idxs])
-        if lanes > 1:
-            contexts = np.tile(contexts, (lanes, 1))
-            conts = np.tile(conts, (lanes, 1))
-        logprobs = model.choice_logprob_batch(contexts, conts).reshape(
-            lanes, len(row_idxs)
-        )
-        for j in range(lanes):
+        contexts = np.tile(np.stack([rows[ri][2] for ri in row_idxs]), (k, 1))
+        conts = np.tile(np.stack([rows[ri][3] for ri in row_idxs]), (k, 1))
+        logprobs = model.choice_logprob_batch(contexts, conts).reshape(k, len(row_idxs))
+        for j in range(k):
             for ri, lp in zip(row_idxs, logprobs[j]):
                 scores[j][(rows[ri][0], rows[ri][1])] = float(lp)
     accuracy = []
@@ -148,33 +115,26 @@ def evaluate_multiple_choice(
             if int(np.argmax(per_choice)) == int(label):
                 correct += 1
         accuracy.append(100.0 * correct / len(task.contexts))
-    return accuracy[0] if lanes == 1 else np.array(accuracy)
+    return _by_lane(accuracy, lanes)
 
 
 def _generate_all(
     model: QuantizedTransformerLM,
     prompts: list[np.ndarray],
     gen_len: int,
-    batched: bool,
     lanes: int = 1,
-) -> list[np.ndarray] | list[list[np.ndarray]]:
-    """Generate continuations for every prompt, preserving input order.
-
-    ``lanes > 1`` generates for K packed trial lanes in lock-step and
-    returns one continuation list per lane.
-    """
-    _require_batched_lanes(batched, lanes)
-    if not batched:
-        return [model.generate(p, gen_len) for p in prompts]
+) -> list[list[np.ndarray]]:
+    """Generate continuations for every prompt, preserving input order,
+    for ``lanes`` packed trial lanes in lock-step: one list per lane."""
     out: list[list[np.ndarray]] = [[None] * len(prompts) for _ in range(lanes)]  # type: ignore[list-item]
     for idxs, batch in batch_groups(prompts):
-        gen = model.generate_batch(
-            np.tile(batch, (lanes, 1)) if lanes > 1 else batch, gen_len
-        ).reshape(lanes, len(idxs), -1)
+        gen = model.generate_batch(np.tile(batch, (lanes, 1)), gen_len).reshape(
+            lanes, len(idxs), -1
+        )
         for j in range(lanes):
             for i, row in zip(idxs, gen[j]):
                 out[j][i] = row
-    return out[0] if lanes == 1 else out
+    return out
 
 
 @dataclass
@@ -192,7 +152,6 @@ class EvalHarness:
     """
 
     clean_model: QuantizedTransformerLM
-    batched: bool = True
     _ref_cache: dict[str, list[np.ndarray]] = field(default_factory=dict)
 
     @staticmethod
@@ -226,8 +185,8 @@ class EvalHarness:
             try:
                 with _span("harness.reference", prompts=len(prompts), gen_len=gen_len):
                     self._ref_cache[key] = _generate_all(
-                        self.clean_model, prompts, gen_len, self.batched
-                    )
+                        self.clean_model, prompts, gen_len
+                    )[0]
             finally:
                 self.clean_model.attach(saved_injector, saved_protector)
                 executor.cost = saved_cost
@@ -235,35 +194,35 @@ class EvalHarness:
         return self._ref_cache[key]
 
     def summarization_score(
-        self, model: QuantizedTransformerLM, task: SummarizationTask, lanes: int = 1
+        self,
+        model: QuantizedTransformerLM,
+        task: SummarizationTask,
+        lanes: Optional[int] = None,
     ) -> float | np.ndarray:
         """Mean ROUGE-1 vs. the clean model's generations (X-Sum metric)."""
         refs = self._references(task.prompts, task.gen_len)
-        if lanes == 1:
-            outputs = _generate_all(model, task.prompts, task.gen_len, self.batched)
-            scores = [rouge1(out, ref) for out, ref in zip(outputs, refs)]
-            return float(np.mean(scores))
-        by_lane = _generate_all(model, task.prompts, task.gen_len, self.batched, lanes)
-        return np.array(
+        by_lane = _generate_all(model, task.prompts, task.gen_len, _lane_count(lanes))
+        return _by_lane(
             [
                 float(np.mean([rouge1(out, ref) for out, ref in zip(outputs, refs)]))
                 for outputs in by_lane
-            ]
+            ],
+            lanes,
         )
 
     def arithmetic_score(
-        self, model: QuantizedTransformerLM, task: ArithmeticTask, lanes: int = 1
+        self,
+        model: QuantizedTransformerLM,
+        task: ArithmeticTask,
+        lanes: Optional[int] = None,
     ) -> float | np.ndarray:
         """Exact-match accuracy (%) vs. clean generations (GSM8K metric)."""
         refs = self._references(task.prompts, task.gen_len)
-        if lanes == 1:
-            outputs = _generate_all(model, task.prompts, task.gen_len, self.batched)
-            matches = [exact_match(out, ref) for out, ref in zip(outputs, refs)]
-            return float(100.0 * np.mean(matches))
-        by_lane = _generate_all(model, task.prompts, task.gen_len, self.batched, lanes)
-        return np.array(
+        by_lane = _generate_all(model, task.prompts, task.gen_len, _lane_count(lanes))
+        return _by_lane(
             [
                 float(100.0 * np.mean([exact_match(out, ref) for out, ref in zip(outputs, refs)]))
                 for outputs in by_lane
-            ]
+            ],
+            lanes,
         )

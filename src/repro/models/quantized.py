@@ -646,8 +646,7 @@ class QuantizedTransformerLM:
         session attached, the clean forward per token content is recorded
         once and every injected repeat resumes from the earliest layer the
         injector's filter can touch — bit-identical logits, RNG streams,
-        and statistics (see DESIGN.md section 7). Replayed logits are
-        returned as read-only arrays.
+        and statistics (see DESIGN.md section 7).
         """
         tokens, batched = self._as_batch(token_ids)
         if self.replay is not None and self.executor.mode != "calibrate":
@@ -675,30 +674,25 @@ class QuantizedTransformerLM:
         """Record-or-resume a ``forward_full``; ``None`` falls back to the
         full route (no trace yet and a fault configuration is attached).
 
-        A lane-packed call (``lane_split > 1``, DESIGN.md section 9) looks
-        up the trace of its *per-lane* token block and resumes with every
-        restored array tiled across lanes — the packed equivalent of each
-        lane resuming alone.
+        The trace is looked up by the *per-lane* token block (DESIGN.md
+        section 9) and resumed with every restored array tiled across the
+        ``lane_split`` lanes — the packed equivalent of each lane resuming
+        alone; an unpacked call is one lane.
         """
         ex = self.executor
         session = self.replay
-        if self.lane_split > 1:
-            base = self._lane_base(tokens)
-            if base is None:
-                return None
-            trace = session.store.get(session.key_full(base, stage, ex))
-            if trace is None:
-                return None  # no per-lane trace: packed full route
-            return self._resume_full(trace, stage, self.lane_split)
-        key = session.key_full(tokens, stage, ex)
+        base = self._lane_base(tokens)
+        if base is None:
+            return None
+        key = session.key_full(base, stage, ex)
         trace = session.store.get(key)
         if trace is None:
-            if ex.injector is not None or ex.protector is not None:
-                return None  # traces are recorded fault-free only
+            if self.lane_split > 1 or ex.injector is not None or ex.protector is not None:
+                return None  # traces are recorded fault-free, one lane at a time
             logits, trace = self._record_full(tokens, stage)
             session.store.put(key, trace)
             return logits
-        return self._resume_full(trace, stage, 1)
+        return self._resume_full(trace, stage, self.lane_split)
 
     def _resume_full(
         self, trace: CleanTrace, stage: Stage, lanes: int
@@ -714,12 +708,8 @@ class QuantizedTransformerLM:
             for i in range(end):
                 replay_skipped_calls(ex, trace.calls_by_layer[i], lanes=lanes)
             if start is None:
-                if lanes == 1:
-                    return trace.logits
                 return np.tile(trace.logits, (lanes, 1, 1))
-            h = trace.boundaries[start]
-            if lanes > 1:
-                h = np.tile(h, (lanes, 1, 1))
+            h = np.tile(trace.boundaries[start], (lanes, 1, 1))
             for i in range(start, self.config.n_layers):
                 h = self._block(self.layers[i], i, h, stage, cache=None, position=0)
             return self._logits(h)
@@ -842,23 +832,18 @@ class QuantizedTransformerLM:
         """
         ex = self.executor
         session = self.replay
-        if self.lane_split > 1:
-            base = self._lane_base(prompts)
-            if base is None:
-                return None
-            trace = session.store.get(session.key_generate(base, max_new_tokens, ex))
-            if trace is None:
-                return None  # no per-lane trace: packed full route
-            return self._resume_generate(trace, prompts, max_new_tokens, self.lane_split)
-        key = session.key_generate(prompts, max_new_tokens, ex)
+        base = self._lane_base(prompts)
+        if base is None:
+            return None
+        key = session.key_generate(base, max_new_tokens, ex)
         trace = session.store.get(key)
         if trace is None:
-            if ex.injector is not None or ex.protector is not None:
-                return None
+            if self.lane_split > 1 or ex.injector is not None or ex.protector is not None:
+                return None  # traces are recorded fault-free, one lane at a time
             tokens, trace = self._record_generate(prompts, max_new_tokens)
             session.store.put(key, trace)
             return tokens
-        return self._resume_generate(trace, prompts, max_new_tokens, 1)
+        return self._resume_generate(trace, prompts, max_new_tokens, self.lane_split)
 
     def _resume_generate(
         self,
@@ -875,33 +860,25 @@ class QuantizedTransformerLM:
                 ex.injector, n_layers, self.config.components, Stage.PREFILL
             )
             sp.set(start=-1 if start is None else start)
-            if (
-                lanes == 1
-                and start is None
-                and ex.injector is None
-                and ex.protector is None
-            ):
+            if start is None and ex.injector is None and ex.protector is None:
                 # Fault-free repeat: charge the recorded MACs, return the trace.
                 for i in range(n_layers):
-                    replay_skipped_calls(ex, trace.calls_by_layer[i])
-                replay_skipped_calls(ex, trace.decode_calls)
-                return trace.new_tokens
+                    replay_skipped_calls(ex, trace.calls_by_layer[i], lanes=lanes)
+                replay_skipped_calls(ex, trace.decode_calls, lanes=lanes)
+                return np.tile(trace.new_tokens, (lanes, 1))
             end = n_layers if start is None else start
             for i in range(end):
                 replay_skipped_calls(ex, trace.calls_by_layer[i], lanes=lanes)
             cache = self._empty_cache(prompts.shape[0])
             for i in range(end):  # layers restored from the trace, not recomputed
                 k, v = trace.kv[i]
-                if lanes > 1:
-                    k = np.tile(k, (lanes, 1, 1, 1))
-                    v = np.tile(v, (lanes, 1, 1, 1))
-                cache.layers[i] = LayerKV(k=k, v=v)
+                cache.layers[i] = LayerKV(
+                    k=np.tile(k, (lanes, 1, 1, 1)), v=np.tile(v, (lanes, 1, 1, 1))
+                )
             if start is None:
-                logits = trace.logits if lanes == 1 else np.tile(trace.logits, (lanes, 1))
+                logits = np.tile(trace.logits, (lanes, 1))
             else:
-                h = trace.boundaries[start]
-                if lanes > 1:
-                    h = np.tile(h, (lanes, 1, 1))
+                h = np.tile(trace.boundaries[start], (lanes, 1, 1))
                 for i in range(start, n_layers):
                     h = self._block(
                         self.layers[i], i, h, Stage.PREFILL, cache.layers[i], position=0

@@ -244,17 +244,13 @@ def replay_skipped_calls(
     recovery statistics, charged recovery MACs, and measured cycles are
     identical whether or not the prefix was recomputed.
 
-    ``lanes > 1`` replays a *lane-packed* forward (DESIGN.md section 9)
-    against a trace recorded on the per-lane token block: each record's
-    leading batch dimension and MAC count scale by the lane count, exactly
-    matching the calls a packed clean forward would have logged. The
-    lane-aware instruments then split the bookkeeping back per lane, so
+    ``lanes`` is the width of the forward being replayed (DESIGN.md
+    section 9): the trace was recorded on the per-lane token block, so each
+    record's leading batch dimension and MAC count scale by the lane count,
+    exactly matching the calls a packed clean forward would have logged.
+    The lane-aware instruments then split the bookkeeping back per lane, so
     every lane's counters equal its solo run's.
     """
-    if lanes == 1:
-        for call in calls:
-            executor.replay_call(call.site, call.macs, call.shape)
-        return
     for call in calls:
         shape = (call.shape[0] * lanes,) + tuple(call.shape[1:])
         executor.replay_call(call.site, call.macs * lanes, shape)

@@ -8,15 +8,15 @@ returns one shared no-op singleton and the dispatch hot path never sees a
 tracer at all (the executor's trace slot stays ``None``; the instrument
 chain is byte-for-byte the chain that existed before telemetry did).
 
-Spans nest lexically (``with span("trial.evaluate"): ... with
+Spans nest lexically (``with span("pack.evaluate"): ... with
 span("replay.resume"): ...``) and are recorded as Chrome-trace complete
 events (``"ph": "X"``), which chrome://tracing and Perfetto nest by
 interval containment. Timestamps come from ``perf_counter`` — on Linux a
 boot-anchored monotonic clock shared by every process, so spans shipped
 from pool workers land on the same timeline as the parent's.
 
-Span taxonomy (see DESIGN.md section 10): ``trial.evaluate`` /
-``pack.evaluate`` (campaign layer), ``eval.run`` / ``eval.clean``
+Span taxonomy (see DESIGN.md section 10): ``pack.evaluate`` (campaign
+layer), ``eval.run`` / ``eval.clean``
 (evaluator layer), ``replay.resume`` / ``replay.record`` (replay engine),
 ``shm.publish`` / ``shm.attach`` (worker bring-up), ``harness.reference``
 (generation-task references).

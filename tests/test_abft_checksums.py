@@ -13,7 +13,6 @@ from repro.abft.checksums import (
     checksum_report,
     column_checksum,
     input_checksum,
-    two_sided_checksums,
 )
 from repro.quant.gemm import gemm_int32
 
@@ -44,16 +43,6 @@ class TestChecksumExactness:
         b = np.full((k, 2), 127, dtype=np.int64)
         y = gemm_int32(a, b)  # wrapped values
         np.testing.assert_array_equal(input_checksum(a, b), column_checksum(y))
-
-    def test_two_sided_checksums_shapes(self, rng):
-        a = rng.integers(-10, 10, size=(4, 7)).astype(np.int8)
-        b = rng.integers(-10, 10, size=(7, 3)).astype(np.int8)
-        row_side, col_side = two_sided_checksums(a, b)
-        assert row_side.shape == (3,)
-        assert col_side.shape == (4,)
-        y = gemm_int32(a, b)
-        np.testing.assert_array_equal(row_side, y.sum(axis=0))
-        np.testing.assert_array_equal(col_side, y.sum(axis=1))
 
 
 class TestErrorLocalization:

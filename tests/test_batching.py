@@ -12,15 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle import per_sequence_score
 from repro.abft.protectors import ClassicalABFT
 from repro.characterization.evaluator import ModelEvaluator
 from repro.errors.injector import ErrorInjector
 from repro.errors.models import BitFlipModel
-from repro.evalsuite.harness import (
-    evaluate_last_token_accuracy,
-    evaluate_multiple_choice,
-    evaluate_perplexity,
-)
 from repro.models.quantized import batch_groups
 
 
@@ -161,37 +157,15 @@ class TestBatchedProtection:
 
 
 class TestHarnessPathAgreement:
-    """Batched and per-sequence evaluation produce identical clean scores."""
+    """Batched scoring and the per-sequence oracle produce identical clean
+    scores for every task."""
 
-    def test_perplexity(self, opt_bundle, opt_quant):
-        from repro.data import build_lm_data
-
-        data = build_lm_data(opt_bundle.source, 4, 24)
-        assert evaluate_perplexity(opt_quant, data, batched=True) == evaluate_perplexity(
-            opt_quant, data, batched=False
-        )
-
-    def test_lambada(self, opt_bundle, opt_quant):
-        from repro.data import build_lambada_like
-
-        task = build_lambada_like(opt_bundle.source, 8, 12)
-        assert evaluate_last_token_accuracy(
-            opt_quant, task, batched=True
-        ) == evaluate_last_token_accuracy(opt_quant, task, batched=False)
-
-    def test_hellaswag(self, opt_bundle, opt_quant):
-        from repro.data import build_hellaswag_like
-
-        task = build_hellaswag_like(opt_bundle.source, 6, 10, 5)
-        assert evaluate_multiple_choice(
-            opt_quant, task, batched=True
-        ) == evaluate_multiple_choice(opt_quant, task, batched=False)
-
-    def test_evaluator_modes_agree_on_clean_scores(self, opt_bundle):
-        for task in ("xsum", "gsm8k"):
-            ev_b = ModelEvaluator(opt_bundle, task, batched=True)
-            ev_u = ModelEvaluator(opt_bundle, task, batched=False)
-            assert ev_b.clean_score == ev_u.clean_score
+    @pytest.mark.parametrize(
+        "task", ["perplexity", "lambada", "hellaswag", "xsum", "gsm8k"]
+    )
+    def test_clean_score_matches_per_sequence(self, opt_bundle, task):
+        evaluator = ModelEvaluator(opt_bundle, task)
+        assert evaluator.clean_score == per_sequence_score(evaluator)
 
 
 class TestBatchGroups:

@@ -2,9 +2,9 @@
 
 The contract: every lane of a packed run — score, injector RNG stream and
 statistics, protector statistics, measured cost columns — is **bit-identical**
-(``==`` / ``assert_array_equal``, never ``allclose``) to running that trial
-alone through the per-trial dispatch route, across prefill+decode tasks,
-±ABFT, replay on/off, and every behavioral method.
+(``==`` / ``assert_array_equal``, never ``allclose``) to scoring that trial
+alone with plain instruments on the full-forward route (``tests/oracle.py``),
+at any pack width, across prefill+decode tasks, ±cost, and every method.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.campaigns.executor import evaluate_trial
+from oracle import RESULT_FIELDS, assert_matches_oracle, oracle_result
 from repro.campaigns.lanes import (
     LanePacker,
     build_injector,
@@ -23,24 +23,12 @@ from repro.campaigns.lanes import (
 )
 from repro.campaigns.spec import ErrorSpec, SiteSpec, Trial
 from repro.characterization.evaluator import ModelEvaluator
+from repro.core.methods import METHODS
 from repro.core.realm import ReaLMConfig, ReaLMPipeline
 from repro.dispatch.cost import CostSpec
 from repro.errors.injector import ErrorInjector, LaneInjector
 from repro.errors.models import BitFlipModel
 from repro.errors.sites import Component, SiteFilter, SiteFilterUnion, Stage
-
-#: Everything of a TrialResult that belongs to the bit-exactness contract
-#: (elapsed_s/worker are wall-clock telemetry, explicitly excluded).
-RESULT_FIELDS = (
-    "score",
-    "degradation",
-    "clean_score",
-    "injected_errors",
-    "gemm_calls",
-    "cycles",
-    "recovered_macs",
-    "energy_j",
-)
 
 #: Fast-but-meaningful calibration grid for the behavioral methods
 #: (mirrors tests/test_core_realm.py).
@@ -49,15 +37,16 @@ FAST_CFG = dict(
     calib_freqs=(1, 8, 64, 256),
 )
 
-BEHAVIORAL_METHODS = ("classical-abft", "approx-abft", "statistical-abft")
 
-
-def _trials(method="none", task="perplexity", seeds=(0, 1, 2), ber=2e-3, bit=30):
+def _trials(
+    method="none", task="perplexity", seeds=(0, 1, 2), ber=2e-3, bit=30,
+    stages=("prefill",), layers=None,
+):
     return [
         Trial(
             model="opt-mini",
             task=task,
-            site=SiteSpec.only(components=["O"], stages=["prefill"]),
+            site=SiteSpec.only(layers=layers, components=["O"], stages=stages),
             error=ErrorSpec.bitflip(ber, bits=(bit,)),
             method=method,
             seed=s,
@@ -66,15 +55,14 @@ def _trials(method="none", task="perplexity", seeds=(0, 1, 2), ber=2e-3, bit=30)
     ]
 
 
-def _assert_pack_matches_solo(trials, evaluator, pipeline=None, cost=None):
-    solo = [evaluate_trial(t, evaluator, pipeline, cost=cost) for t in trials]
+def _assert_pack_matches_oracle(trials, evaluator, pipeline=None, cost=None):
+    """The pack of all ``trials`` and each trial as a one-lane pack both
+    equal the oracle, field by field."""
+    oracles = [oracle_result(t, evaluator, pipeline, cost=cost) for t in trials]
     packed = evaluate_lane_pack(trials, evaluator, pipeline, cost=cost)
-    for trial, s, p in zip(trials, solo, packed):
-        for field in RESULT_FIELDS:
-            assert getattr(s, field) == getattr(p, field), (
-                f"lane diverged from solo on seed {trial.seed}, field {field}: "
-                f"{getattr(s, field)} != {getattr(p, field)}"
-            )
+    assert_matches_oracle(packed, oracles)
+    solo = [evaluate_lane_pack([t], evaluator, pipeline, cost=cost)[0] for t in trials]
+    assert_matches_oracle(solo, oracles)
     return solo, packed
 
 
@@ -132,17 +120,52 @@ class TestPackedForwardLanes:
 
 
 # ------------------------------------------------------------- result parity
-@pytest.mark.parametrize("replay", [True, False])
-class TestResultParity:
-    @pytest.mark.parametrize("task", ["perplexity", "xsum"])
-    @pytest.mark.parametrize("method", ["none", "classical-abft", "dmr"])
-    def test_methods_and_tasks(self, opt_bundle, method, task, replay):
-        evaluator = ModelEvaluator(opt_bundle, task, replay=replay)
-        _assert_pack_matches_solo(_trials(method=method, task=task), evaluator)
+@pytest.fixture(scope="module")
+def calibrated(opt_bundle):
+    """Per task: an evaluator and its calibrated pipeline."""
+    out = {}
+    for task in ("perplexity", "xsum"):
+        evaluator = ModelEvaluator(opt_bundle, task)
+        out[task] = evaluator, ReaLMPipeline(
+            opt_bundle, ReaLMConfig(task=task, **FAST_CFG), evaluator=evaluator
+        )
+    return out
 
-    def test_decode_stage_lanes(self, opt_bundle, replay):
+
+class TestOracleParity:
+    """Every method, ±cost, prefill-only and prefill+decode tasks: a pack of
+    K lanes equals the oracle lane by lane. Targeting only the last layer
+    makes every forward resume past a replayed prefix, so the skipped
+    calls' per-lane bookkeeping is compared too."""
+
+    _oracles: dict = {}
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("layers", [None, [1]], ids=["all-layers", "layer1"])
+    @pytest.mark.parametrize("cost", [None, CostSpec()], ids=["nocost", "cost"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("task", ["perplexity", "xsum"])
+    def test_pack_matches_oracle(self, calibrated, task, method, cost, layers, lanes):
+        evaluator, pipeline = calibrated[task]
+        trials = _trials(method=method, task=task, ber=5e-3, stages=None, layers=layers)
+        key = (task, method, cost is not None, layers is None)
+        if key not in self._oracles:
+            self._oracles[key] = [
+                oracle_result(t, evaluator, pipeline, cost=cost) for t in trials
+            ]
+        if lanes == 1:
+            results = [
+                evaluate_lane_pack([t], evaluator, pipeline, cost=cost)[0]
+                for t in trials
+            ]
+        else:
+            results = evaluate_lane_pack(trials, evaluator, pipeline, cost=cost)
+        assert_matches_oracle(results, self._oracles[key])
+        assert sum(o["injected_errors"] for o in self._oracles[key]) > 0
+
+    def test_decode_stage_lanes(self, opt_bundle):
         """Decode-targeting filters force live decode under packing too."""
-        evaluator = ModelEvaluator(opt_bundle, "xsum", replay=replay)
+        evaluator = ModelEvaluator(opt_bundle, "xsum")
         trials = [
             Trial(
                 model="opt-mini",
@@ -153,12 +176,12 @@ class TestResultParity:
             )
             for s in range(3)
         ]
-        _assert_pack_matches_solo(trials, evaluator)
+        _assert_pack_matches_oracle(trials, evaluator)
 
-    def test_mixed_cells_single_pack(self, opt_bundle, replay):
+    def test_mixed_cells_single_pack(self, opt_bundle):
         """Lanes with different sites/errors (incl. a clean lane) still
-        produce solo-identical results when packed together."""
-        evaluator = ModelEvaluator(opt_bundle, "perplexity", replay=replay)
+        produce oracle-identical results when packed together."""
+        evaluator = ModelEvaluator(opt_bundle, "perplexity")
         trials = [
             Trial(
                 model="opt-mini", task="perplexity",
@@ -180,34 +203,14 @@ class TestResultParity:
                 site=SiteSpec.everywhere(), error=ErrorSpec.clean(), seed=3,
             ),
         ]
-        _assert_pack_matches_solo(trials, evaluator, cost=CostSpec())
-
-    def test_single_lane_pack_equals_solo(self, opt_bundle, replay):
-        evaluator = ModelEvaluator(opt_bundle, "perplexity", replay=replay)
-        _assert_pack_matches_solo(_trials(seeds=(5,)), evaluator)
+        _assert_pack_matches_oracle(trials, evaluator, cost=CostSpec())
 
 
 class TestBehavioralMethods:
-    """Every behavioral method, packed vs solo, with calibrated pipelines."""
-
-    @pytest.fixture(scope="class")
-    def calibrated(self, opt_bundle):
-        evaluator = ModelEvaluator(opt_bundle, "perplexity", replay=True)
-        pipeline = ReaLMPipeline(
-            opt_bundle, ReaLMConfig(task="perplexity", **FAST_CFG), evaluator=evaluator
-        )
-        return evaluator, pipeline
-
-    @pytest.mark.parametrize("method", BEHAVIORAL_METHODS)
-    def test_behavioral_method_parity(self, calibrated, method):
-        evaluator, pipeline = calibrated
-        trials = _trials(method=method, ber=5e-3)
-        _assert_pack_matches_solo(trials, evaluator, pipeline, cost=CostSpec())
-
     def test_protector_statistics_per_lane(self, calibrated):
         """Per-lane protector stats — inspections, detections, recoveries,
         charged MACs, per-site counts — equal the solo runs'."""
-        evaluator, pipeline = calibrated
+        evaluator, pipeline = calibrated["perplexity"]
         trials = _trials(method="statistical-abft", ber=5e-3)
         solo_protectors = []
         for trial in trials:
@@ -227,7 +230,7 @@ class TestBehavioralMethods:
 
 class TestCostParity:
     def test_per_lane_cost_reports_match_solo(self, opt_bundle):
-        evaluator = ModelEvaluator(opt_bundle, "perplexity", replay=True)
+        evaluator = ModelEvaluator(opt_bundle, "perplexity")
         spec = CostSpec()
         trials = _trials(method="classical-abft", ber=5e-3)
         pipeline = None
@@ -251,7 +254,7 @@ class TestCostParity:
 
     def test_voltage_lanes_energy_at_own_voltage(self, opt_bundle):
         """Lanes at different voltages derive their own BER and energy."""
-        evaluator = ModelEvaluator(opt_bundle, "perplexity", replay=True)
+        evaluator = ModelEvaluator(opt_bundle, "perplexity")
         trials = [
             Trial(
                 model="opt-mini", task="perplexity",
@@ -261,7 +264,7 @@ class TestCostParity:
             )
             for s, v in enumerate((0.80, 0.72, 0.64))
         ]
-        solo, packed = _assert_pack_matches_solo(
+        solo, packed = _assert_pack_matches_oracle(
             trials, evaluator, cost=CostSpec()
         )
         energies = [r.energy_j for r in packed]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle import assert_matches_oracle, full_route_score, oracle_result
 from repro.abft.protectors import ClassicalABFT
 from repro.characterization.evaluator import (
     ModelEvaluator,
@@ -316,13 +317,15 @@ class TestInjectorFastPath:
 
 
 class TestEvaluatorReplay:
+    """Evaluator-level: trials scored through the replay engine equal the
+    oracle's full-forward scores (``tests/oracle.py``)."""
+
     def test_scores_bit_identical_to_no_replay(self, opt_bundle):
         from repro.campaigns.executor import evaluate_trial
         from repro.campaigns.spec import ErrorSpec, SiteSpec, Trial
 
-        ev_replay = ModelEvaluator(opt_bundle, "perplexity", replay=True)
-        ev_full = ModelEvaluator(opt_bundle, "perplexity", replay=False)
-        assert ev_replay.clean_score == ev_full.clean_score
+        evaluator = ModelEvaluator(opt_bundle, "perplexity")
+        assert evaluator.clean_score == full_route_score(evaluator)
         for site in (
             SiteSpec.only(layers=[1]),
             SiteSpec.only(components=["O"], stages=["prefill"]),
@@ -335,20 +338,16 @@ class TestEvaluatorReplay:
                 error=ErrorSpec.bitflip(1e-3, bits=(30,)),
                 seed=2,
             )
-            r_replay = evaluate_trial(trial, ev_replay)
-            r_full = evaluate_trial(trial, ev_full)
-            assert r_replay.score == r_full.score
-            assert r_replay.degradation == r_full.degradation
-            assert r_replay.injected_errors == r_full.injected_errors
-            assert r_replay.gemm_calls == r_full.gemm_calls
+            assert_matches_oracle(
+                [evaluate_trial(trial, evaluator)], [oracle_result(trial, evaluator)]
+            )
 
     def test_generation_task_scores_match(self, opt_bundle):
         from repro.campaigns.executor import evaluate_trial
         from repro.campaigns.spec import ErrorSpec, SiteSpec, Trial
 
-        ev_replay = ModelEvaluator(opt_bundle, "xsum", replay=True)
-        ev_full = ModelEvaluator(opt_bundle, "xsum", replay=False)
-        assert ev_replay.clean_score == ev_full.clean_score
+        evaluator = ModelEvaluator(opt_bundle, "xsum")
+        assert evaluator.clean_score == full_route_score(evaluator)
         for stages in (["prefill"], ["decode"], None):
             trial = Trial(
                 model=opt_bundle.name,
@@ -357,7 +356,9 @@ class TestEvaluatorReplay:
                 error=ErrorSpec.bitflip(2e-3, bits=(30,)),
                 seed=1,
             )
-            assert evaluate_trial(trial, ev_replay).score == evaluate_trial(trial, ev_full).score
+            assert_matches_oracle(
+                [evaluate_trial(trial, evaluator)], [oracle_result(trial, evaluator)]
+            )
 
 
 class TestSharedMemory:
@@ -365,7 +366,7 @@ class TestSharedMemory:
         from repro.models.replay import TRACES
 
         fingerprint = _bundle_fingerprint(opt_bundle)
-        evaluator = ModelEvaluator(opt_bundle, "perplexity", replay=True)
+        evaluator = ModelEvaluator(opt_bundle, "perplexity")
         evaluator.clean_score  # record traces under the global store
         model = quantized_model_for(opt_bundle)
         traces = {k: t for k, t in TRACES.items() if k.startswith(fingerprint)}

@@ -199,7 +199,7 @@ class TestBackendProvenance:
         from repro.models.sharing import attach_traces
 
         fingerprint = _bundle_fingerprint(opt_bundle)
-        evaluator = ModelEvaluator(opt_bundle, "perplexity", replay=True)
+        evaluator = ModelEvaluator(opt_bundle, "perplexity")
         evaluator.clean_score  # record traces under the global store
         traces = {k: t for k, t in TRACES.items() if k.startswith(fingerprint)}
         assert traces, "clean scoring should have recorded traces"

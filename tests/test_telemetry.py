@@ -210,13 +210,46 @@ def test_trace_store_hit_miss_counters():
     assert (store.hits, store.misses) == (1, 2)
 
 
+def test_elapsed_histogram_counts_trials_not_packs(opt_evaluator):
+    from repro.campaigns.lanes import evaluate_lane_pack
+
+    histogram = telemetry.METRICS.histogram("trial.elapsed_s")
+    results = evaluate_lane_pack([_trial(seed=s) for s in (0, 1, 2)], opt_evaluator)
+    assert histogram.count == 3
+    assert histogram.sum == pytest.approx(sum(r.elapsed_s for r in results))
+    evaluate_trial(_trial(), opt_evaluator)
+    assert histogram.count == 4
+
+
+def test_trace_export_scores_like_evaluate_trial(tmp_path, opt_evaluator, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "trace.json"
+    assert main([
+        "trace", "export", "--out", str(out), "--model", "opt-mini",
+        "--ber", "2e-3", "--seed", "1",
+    ]) == 0
+    capsys.readouterr()
+    extra = json.loads(out.read_text())["repro"]
+    expected = evaluate_trial(Trial.from_dict(extra["trial"]), opt_evaluator)
+    assert extra["score"] == expected.score
+    assert extra["degradation"] == expected.degradation
+    assert extra["gemmSites"] and all("cycles" in row for row in extra["gemmSites"])
+
+
 # ------------------------------------------------------------- degradation
 def test_pack_degradation_counts_warns_and_flags(opt_evaluator, monkeypatch, caplog):
     # opt_evaluator warms the worker-side caches via the session fixture; the
     # payload route rebuilds its own evaluator from the on-disk zoo cache.
+    from repro.campaigns.lanes import evaluate_lane_pack
+
+    def multi_lane_boom(trials, *args, **kwargs):
+        if len(trials) > 1:
+            raise RuntimeError("pack boom")
+        return evaluate_lane_pack(trials, *args, **kwargs)
+
     monkeypatch.setattr(
-        "repro.campaigns.executor.evaluate_lane_pack",
-        lambda *a, **k: (_ for _ in ()).throw(RuntimeError("pack boom")),
+        "repro.campaigns.executor.evaluate_lane_pack", multi_lane_boom
     )
     payload = {"trials": [_trial(seed=s).to_dict() for s in (0, 1)]}
     with caplog.at_level(logging.WARNING, logger="repro.campaigns"):
@@ -225,7 +258,7 @@ def test_pack_degradation_counts_warns_and_flags(opt_evaluator, monkeypatch, cap
     assert all(o.get("degraded") for o in outcomes)
     assert all("result" in o for o in outcomes)
     assert telemetry.METRICS.counter("lanes.pack_degradations").value == 1
-    record = next(r for r in caplog.records if "degraded to per-trial" in r.message)
+    record = next(r for r in caplog.records if "degraded to one-lane packs" in r.message)
     assert record.levelno == logging.WARNING
     assert _trial().cell_label in record.getMessage()
     assert record.exc_info is not None and "pack boom" in repr(record.exc_info[1])
